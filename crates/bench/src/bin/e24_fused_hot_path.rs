@@ -3,10 +3,10 @@
 //! The fused executor promises cheaper batches, not different ones:
 //! each granularity-`T` batch bulk-loads its cross inputs into a flat
 //! arena (one `peek`/`release` per ring per batch), runs the segment's
-//! precompiled firing plan against precomputed arena spans with a
-//! software prefetch on the next firing's inputs, and bulk-stores the
-//! cross outputs (one `reserve`/`commit` per ring per batch). Internal
-//! edges never touch a ring. If that is a real win it shows up as fewer
+//! precompiled firing plan against arena spans from per-port cursors,
+//! with a software prefetch on the next firing's inputs, and
+//! bulk-stores the cross outputs (one `reserve`/`commit` per ring per
+//! batch). Internal edges never touch a ring. If that is a real win it shows up as fewer
 //! retired instructions per sink item — the per-firing ring protocol,
 //! occupancy checks, and scratch copies disappear from the hot loop —
 //! and it must never show up in the output: every fused cell's digest

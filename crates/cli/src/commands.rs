@@ -290,6 +290,14 @@ fn strategy_of(args: &Args) -> Result<Strategy, Box<dyn Error>> {
     })
 }
 
+/// `--workers N` (default 2); zero workers is an error, not one worker.
+fn workers_of(args: &Args) -> Result<usize, Box<dyn Error>> {
+    match args.u64_or("workers", 2)? {
+        0 => Err("--workers must be at least 1".into()),
+        n => Ok(usize::try_from(n)?),
+    }
+}
+
 fn params_of(args: &Args) -> Result<CacheParams, Box<dyn Error>> {
     let m = args.required_u64("m")?;
     let b = args.u64_or("b", 16)?;
@@ -399,7 +407,7 @@ fn run_dag(args: &Args) -> CliResult {
     let path = args.positional(0, "graph file")?;
     let g = load(path)?;
     let planner = Planner::new(params_of(args)?).with_strategy(strategy_of(args)?);
-    let workers = args.u64_or("workers", 2)?.max(1) as usize;
+    let workers = workers_of(args)?;
     let rounds = args.u64_or("rounds", 8)?;
     let placement = match args.flag("placement") {
         None => ccs_exec::Placement::RoundRobin,
@@ -788,7 +796,7 @@ fn build_trace_doc(args: &Args) -> Result<serde_json::Value, Box<dyn Error>> {
         return Ok(chrome::document_with(&name, meta, &workers, warn_residency));
     }
 
-    let workers = args.u64_or("workers", 2)?.max(1) as usize;
+    let workers = workers_of(args)?;
     let placement = match args.flag("placement") {
         None => ccs_exec::Placement::RoundRobin,
         Some(p) => ccs_exec::Placement::parse(p)
@@ -1095,10 +1103,11 @@ fn sweep_cmd(args: &Args) -> CliResult {
                 Some(other) => return Err(format!("--pin {other}: want on|off|both").into()),
             };
             for w in csv(args, "workers", "2") {
-                let workers = w
-                    .parse::<usize>()
-                    .map_err(|_| format!("--workers: '{w}' is not a number"))?
-                    .max(1);
+                let workers = match w.parse::<usize>() {
+                    Ok(0) => return Err("--workers must be at least 1".into()),
+                    Ok(n) => n,
+                    Err(_) => return Err(format!("--workers: '{w}' is not a number").into()),
+                };
                 for p in csv(args, "placements", "rr,llc") {
                     let placement = ccs_exec::Placement::parse(&p)
                         .ok_or_else(|| format!("unknown placement '{p}' (rr|greedy|llc)"))?;
@@ -1454,6 +1463,27 @@ mod tests {
             &args(&[&path, "--m", "256", "--placement", "bogus"]),
         )
         .is_err());
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn zero_workers_is_rejected() {
+        let path = tmp("g_zero_workers.json");
+        run(
+            "gen",
+            &args(&["pipeline", "--len", "6", "--state", "64", "-o", &path]),
+        )
+        .unwrap();
+        for cmd in ["run-dag", "trace"] {
+            let err = run(cmd, &args(&[&path, "--m", "1024", "--workers", "0"]))
+                .expect_err(cmd)
+                .to_string();
+            assert!(err.contains("--workers must be at least 1"), "{cmd}: {err}");
+        }
+        let err = run("sweep", &args(&["--apps", "fm-radio", "--workers", "2,0"]))
+            .expect_err("sweep")
+            .to_string();
+        assert!(err.contains("--workers must be at least 1"), "sweep: {err}");
         std::fs::remove_file(path).ok();
     }
 

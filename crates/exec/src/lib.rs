@@ -67,9 +67,9 @@
 //!   runs through a precompiled [`ccs_partition::FiringPlan`]: cross
 //!   inputs bulk-loaded into a flat per-segment arena (one
 //!   `peek`/`release` per ring per batch), firings executing against
-//!   precomputed arena spans with a software prefetch on the next
-//!   firing's inputs, cross outputs bulk-stored (one `reserve`/`commit`
-//!   per ring per batch). Internal edges never touch a ring.
+//!   arena spans derived from per-port cursors with a software prefetch
+//!   on the next firing's inputs, cross outputs bulk-stored (one
+//!   `reserve`/`commit` per ring per batch). Internal edges never touch a ring.
 //!   [`serial_fused::execute_serial_fused`] is the one-thread analogue;
 //!   layout and measured deltas in `docs/HOTPATH.md`.
 //! * **Determinism.** Synchronous dataflow is schedule-deterministic, so

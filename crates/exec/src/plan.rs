@@ -5,7 +5,9 @@
 //! producing exactly `T·gain(e)` items on every incident cross edge. The
 //! local firing order is fixed at plan time by the same
 //! deepest-fireable-first dry run the serial `inhomogeneous` scheduler
-//! uses, which also yields exact internal-buffer highwater marks.
+//! uses, which also yields exact internal-buffer highwater marks, and
+//! compiled into the segment's [`FiringPlan`]. Both the dry run and the
+//! compile are linear in the batch's firings.
 
 use ccs_graph::{EdgeId, NodeId, RateAnalysis, StreamGraph};
 use ccs_partition::{compile_firing_plan, ComponentId, FiringPlan, Partition};
@@ -117,8 +119,6 @@ pub struct SegmentPlan {
     pub component: ComponentId,
     /// Segment nodes in intra-segment topological order.
     pub nodes: Vec<NodeId>,
-    /// One batch's firing sequence (local steady-state schedule).
-    pub firings: Vec<NodeId>,
     /// Cross edges feeding this segment, with items consumed per batch.
     pub in_batch: Vec<(EdgeId, u64)>,
     /// Cross edges leaving this segment, with items produced per batch.
@@ -141,10 +141,12 @@ pub struct ExecPlan {
     pub capacities: Vec<u64>,
     /// Segment index (position in `segments`) of each node.
     pub seg_of_node: Vec<usize>,
-    /// Per-segment fused firing plans (same order as `segments`): the
-    /// batch firing sequence compiled against a flat scratch arena, for
-    /// the `RunConfig::fused` hot path. Always built — compilation is
-    /// cheap and the dry run guarantees the schedule is legal.
+    /// Per-segment compiled batches (same order as `segments`): the
+    /// only record of each batch's firing sequence, as local indices
+    /// into `SegmentPlan::nodes`, plus its port spans in a flat scratch
+    /// arena for the `RunConfig::fused` hot path. Always built: one
+    /// `u32` per firing, compiled in time linear in the firings, and
+    /// replayed against the FIFO occupancy invariant on the way.
     pub fused: Vec<FiringPlan>,
 }
 
@@ -209,10 +211,15 @@ impl ExecPlan {
         // local firing sequence and the exact internal occupancy
         // highwater. Cross inputs are full (upstream segments ran
         // earlier in the round), so the recorded sequence is legal at
-        // runtime whenever the gating rule admits the batch.
+        // runtime whenever the gating rule admits the batch. Each
+        // sequence is compiled for the fused hot path at once, so only
+        // one segment's `NodeId` sequence is ever alive; since the dry
+        // run proved it legal, a compile failure can only be
+        // arena-arithmetic overflow.
         let mut occupancy = vec![0u64; g.edge_count()];
         let mut highwater = vec![0u64; g.edge_count()];
         let mut segments = Vec::with_capacity(comp_order.len());
+        let mut fused = Vec::with_capacity(comp_order.len());
         for (si, &c) in comp_order.iter().enumerate() {
             let nodes = std::mem::take(&mut by_comp[c as usize]);
             let firings = ccs_sched::partitioned::component_round_schedule(
@@ -225,6 +232,9 @@ impl ExecPlan {
                 &mut highwater,
             )
             .ok_or(DagExecError::Deadlock { segment: si })?;
+            fused.push(
+                compile_firing_plan(g, &quota, &nodes, &firings).ok_or(DagExecError::Overflow)?,
+            );
 
             let mut in_batch = Vec::new();
             let mut out_batch = Vec::new();
@@ -250,7 +260,6 @@ impl ExecPlan {
             segments.push(SegmentPlan {
                 component: c,
                 nodes,
-                firings,
                 in_batch,
                 out_batch,
                 state_words,
@@ -260,17 +269,6 @@ impl ExecPlan {
             occupancy.iter().all(|&o| o == 0),
             "a full round must return every channel to empty"
         );
-
-        // Compile each segment's batch for the fused hot path. The dry
-        // run above already proved every firing sequence legal, so a
-        // compile failure here can only be arena-arithmetic overflow.
-        let mut fused = Vec::with_capacity(segments.len());
-        for seg in &segments {
-            fused.push(
-                compile_firing_plan(g, &quota, &seg.nodes, &seg.firings)
-                    .ok_or(DagExecError::Overflow)?,
-            );
-        }
 
         // Ring capacities: cross edges are double-buffered (two batches),
         // internal edges take their dry-run highwater.
@@ -325,9 +323,9 @@ mod tests {
             let p = dag_greedy::greedy_topo(&g, 96);
             let plan = ExecPlan::build(&g, &ra, &p, 48).unwrap();
             // Per batch, node v fires T·gain(v) times.
-            for seg in &plan.segments {
-                for &v in &seg.nodes {
-                    let fired = seg.firings.iter().filter(|&&w| w == v).count() as u64;
+            for (seg, fp) in plan.segments.iter().zip(&plan.fused) {
+                for (i, &v) in seg.nodes.iter().enumerate() {
+                    let fired = fp.order().iter().filter(|&&w| w as usize == i).count() as u64;
                     assert_eq!(fired, plan.quota[v.idx()], "seed {seed}");
                 }
             }
@@ -391,9 +389,6 @@ mod tests {
         assert_eq!(plan.segments.len(), 1);
         assert!(plan.segments[0].in_batch.is_empty());
         assert!(plan.segments[0].out_batch.is_empty());
-        assert_eq!(
-            plan.firings_per_round(),
-            plan.segments[0].firings.len() as u64
-        );
+        assert_eq!(plan.firings_per_round(), plan.fused[0].order().len() as u64);
     }
 }

@@ -26,12 +26,13 @@ use crate::plan::{DagExecError, ExecPlan};
 use crate::stats::{DagRunStats, SegmentCounters, WorkerStats};
 use ccs_graph::RateAnalysis;
 use ccs_obs::{Blocked, Clock, EventKind, StallReason, Tracer, WindowSampler};
-use ccs_partition::Partition;
+use ccs_partition::{FiringPlan, NodePorts, Partition, PortSpan};
 use ccs_runtime::instance::Instance;
 use ccs_runtime::kernel::Kernel;
 use ccs_runtime::ring::SpscRing;
 use ccs_runtime::serial::RunStats;
 use ccs_topo::{pin_current_thread, plan_bindings, CoreBinding, Topology};
+use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
@@ -175,11 +176,11 @@ pub struct RunConfig {
     /// Fused-firing hot path: execute each batch through the segment's
     /// precompiled [`ccs_partition::FiringPlan`] — cross inputs
     /// bulk-loaded into a flat per-segment arena, firings running
-    /// against precomputed arena spans (with a software prefetch on the
-    /// next firing's inputs), cross outputs bulk-stored — so internal
-    /// edges never touch a ring and boundary rings see one
-    /// reserve/commit (peek/release) per batch instead of one per
-    /// firing. Same firings in the same order as the classic path: the
+    /// against arena spans from per-port cursors (with a software
+    /// prefetch on the next firing's inputs), cross outputs
+    /// bulk-stored — so internal edges never touch a ring and boundary
+    /// rings see one reserve/commit (peek/release) per batch instead of
+    /// one per firing. Same firings in the same order as the classic path: the
     /// sink digest is bit-identical. The arena rides inside the
     /// segment's task, so migration and adaptation work unchanged.
     pub fused: bool,
@@ -350,8 +351,6 @@ struct SegTask {
     done: u64,
     /// Kernels, parallel to `plan.segments[seg].nodes`.
     kernels: Vec<Box<dyn Kernel>>,
-    /// Firing sequence as local node indices into `kernels`.
-    firings_local: Vec<usize>,
     /// Scratch per local node per port, sized to the rates.
     in_scratch: Vec<Vec<Vec<f32>>>,
     out_scratch: Vec<Vec<Vec<f32>>>,
@@ -555,14 +554,6 @@ pub fn execute_dag_cfg(
         })
         .collect();
 
-    // Local index of each node within its segment.
-    let mut local_of = vec![usize::MAX; g.node_count()];
-    for seg in &plan.segments {
-        for (i, &v) in seg.nodes.iter().enumerate() {
-            local_of[v.idx()] = i;
-        }
-    }
-
     // Move kernels out of the instance into per-segment tasks.
     let mut kernel_slots: Vec<Option<Box<dyn Kernel>>> =
         inst.kernels.into_iter().map(Some).collect();
@@ -620,7 +611,6 @@ pub fn execute_dag_cfg(
                 seg: si,
                 done: 0,
                 kernels,
-                firings_local: seg.firings.iter().map(|&v| local_of[v.idx()]).collect(),
                 in_scratch,
                 out_scratch,
                 arena,
@@ -883,6 +873,11 @@ fn worker_loop(ctx: WorkerCtx<'_>) -> (Vec<SegTask>, WorkerStats) {
         rounds,
         fused,
     } = ctx;
+    // The fused loop's port cursors: written every firing, so they live
+    // in memory this thread allocates and owns, never next to another
+    // worker's hot data. Reset at every batch start, they carry nothing
+    // across batches (or migrations).
+    let mut cursors: Vec<PortSpan> = Vec::new();
     // Pin first, then open counters: the self-monitoring group then
     // counts this thread on the core the placement chose for it.
     let pinned_cpu = binding.and_then(|b| pin_current_thread(b.cpu).pinned().then_some(b.cpu));
@@ -1076,7 +1071,7 @@ fn worker_loop(ctx: WorkerCtx<'_>) -> (Vec<SegTask>, WorkerStats) {
             let before = if window { counter_set.sample() } else { None };
             let t0 = Instant::now();
             if fused {
-                run_fused_batch(plan, rings, task, &mut stats.firings);
+                run_fused_batch(plan, rings, task, &mut cursors, &mut stats.firings);
             } else {
                 run_batch(g, plan, rings, task, &mut stats.firings);
             }
@@ -1321,49 +1316,102 @@ const FUSED_MAX_PORTS: usize = 8;
 /// The fused inner loop: run a compiled firing sequence against its
 /// arena, issuing a software prefetch on the next firing's input spans,
 /// and dispatch each firing through `fire(local, inputs, outputs)`.
-/// Shared by the parallel ([`run_fused_batch`]) and serial
-/// (`serial_fused`) hot paths.
-pub(crate) fn fire_arena_plan<F>(fp: &ccs_partition::FiringPlan, arena: &mut [f32], mut fire: F)
-where
+/// `cursors` receives one entry per entry of the plan's port table:
+/// reset to the table here, each cursor's `base` then advances by its
+/// `rate` after every firing of its member, so the k-th firing sits at
+/// `base + k·rate`. The caller keeps the buffer across batches, so its
+/// capacity is allocated once. Shared by the parallel ([`run_fused_batch`]) and
+/// serial (`serial_fused`) hot paths.
+pub(crate) fn fire_arena_plan<F>(
+    fp: &FiringPlan,
+    arena: &mut [f32],
+    cursors: &mut Vec<PortSpan>,
+    mut fire: F,
+) where
     F: FnMut(usize, &[&[f32]], &mut [&mut [f32]]),
 {
-    // SAFETY (covers every `unsafe` below): all port views are
-    // raw-pointer slices into the arena. `compile_firing_plan` lays
-    // regions out pairwise disjoint and a firing's input and output
-    // edges are distinct (the graph is a dag, so no self-loops), hence
-    // one firing's views never alias; views do not outlive the firing,
-    // and nothing else touches the arena while they are live.
+    assert!(arena.len() >= fp.arena_len);
+    let (order, node_ports) = (fp.order(), fp.node_ports());
+    assert!(node_ports
+        .iter()
+        .all(|np| np.range().end <= fp.ports().len()));
+    cursors.clear();
+    cursors.extend_from_slice(fp.ports());
+    // Cursors are reached through a raw pointer, not per-port slices:
+    // the bounds checks those add cost measurably in this loop.
+    //
+    // SAFETY (covers every `unsafe` below): every member's port range
+    // lies inside `cursors` (checked above; `cursors` mirrors the port
+    // table), and `order` entries index `node_ports` through a
+    // bounds check. Port views are raw-pointer slices into the arena:
+    // only `compile_firing_plan` builds a plan, sizing every port region
+    // at `quota·rate` items within `arena_len` and replaying the order so
+    // no member fires more than `quota` times, so no cursor leaves its
+    // region; regions are pairwise disjoint and a firing's input and
+    // output edges are distinct (the graph is a dag, so no self-loops),
+    // hence one firing's views never alias; views do not outlive the
+    // firing, and nothing else touches the arena while they are live.
+    // A view slot array is read only up to the slots written for the
+    // firing at hand.
     let base = arena.as_mut_ptr();
-    for (fi, f) in fp.firings.iter().enumerate() {
-        if let Some(next) = fp.firings.get(fi + 1) {
-            for s in &next.inputs {
-                ccs_runtime::prefetch_read(unsafe { base.add(s.offset) });
-            }
-        }
-        let (n_in, n_out) = (f.inputs.len(), f.outputs.len());
+    let cursor = cursors.as_mut_ptr();
+    let view = |c: *mut PortSpan| unsafe {
+        let span = std::slice::from_raw_parts_mut(base.add((*c).base), (*c).rate);
+        (*c).base += (*c).rate;
+        span
+    };
+    let mut next = order.iter().skip(1);
+    for &local in order {
+        let np = node_ports[local as usize];
+        let ports = unsafe { cursor.add(np.start as usize) };
+        let (n_in, n_out) = (np.inputs as usize, np.outputs as usize);
+        // Views first (advancing the cursors), then the prefetch, which
+        // reads the next firing's cursors — advanced already if it is
+        // this member again.
         if n_in <= FUSED_MAX_PORTS && n_out <= FUSED_MAX_PORTS {
-            let mut ins: [&[f32]; FUSED_MAX_PORTS] = [&[]; FUSED_MAX_PORTS];
-            for (slot, s) in ins.iter_mut().zip(&f.inputs) {
-                *slot = unsafe { std::slice::from_raw_parts(base.add(s.offset), s.len) };
+            // Only the slots in use are written: initializing all of
+            // them costs measurably per firing.
+            let mut ins = [const { MaybeUninit::<&[f32]>::uninit() }; FUSED_MAX_PORTS];
+            for (j, slot) in ins[..n_in].iter_mut().enumerate() {
+                slot.write(view(unsafe { ports.add(j) }));
             }
-            let mut outs: [&mut [f32]; FUSED_MAX_PORTS] =
-                std::array::from_fn(|_| Default::default());
-            for (slot, s) in outs.iter_mut().zip(&f.outputs) {
-                *slot = unsafe { std::slice::from_raw_parts_mut(base.add(s.offset), s.len) };
+            let mut outs = [const { MaybeUninit::<&mut [f32]>::uninit() }; FUSED_MAX_PORTS];
+            for (j, slot) in outs[..n_out].iter_mut().enumerate() {
+                slot.write(view(unsafe { ports.add(n_in + j) }));
             }
-            fire(f.local, &ins[..n_in], &mut outs[..n_out]);
+            prefetch_inputs(node_ports, cursor, base, next.next());
+            // SAFETY: the first `n_in` and `n_out` slots were written above.
+            let ins = unsafe { std::slice::from_raw_parts(ins.as_ptr().cast::<&[f32]>(), n_in) };
+            let outs = unsafe {
+                std::slice::from_raw_parts_mut(outs.as_mut_ptr().cast::<&mut [f32]>(), n_out)
+            };
+            fire(local as usize, ins, outs);
         } else {
-            let ins: Vec<&[f32]> = f
-                .inputs
-                .iter()
-                .map(|s| unsafe { std::slice::from_raw_parts(base.add(s.offset), s.len) })
+            let ins: Vec<&[f32]> = (0..n_in).map(|j| &*view(unsafe { ports.add(j) })).collect();
+            let mut outs: Vec<&mut [f32]> = (n_in..n_in + n_out)
+                .map(|j| view(unsafe { ports.add(j) }))
                 .collect();
-            let mut outs: Vec<&mut [f32]> = f
-                .outputs
-                .iter()
-                .map(|s| unsafe { std::slice::from_raw_parts_mut(base.add(s.offset), s.len) })
-                .collect();
-            fire(f.local, &ins, &mut outs);
+            prefetch_inputs(node_ports, cursor, base, next.next());
+            fire(local as usize, &ins, &mut outs);
+        }
+    }
+
+    /// Prefetch the input spans of the firing after the current one.
+    #[inline]
+    fn prefetch_inputs(
+        node_ports: &[NodePorts],
+        cursor: *const PortSpan,
+        base: *const f32,
+        next: Option<&u32>,
+    ) {
+        if let Some(&next) = next {
+            let np = node_ports[next as usize];
+            for j in 0..np.inputs as usize {
+                // SAFETY: as in the loop above; a prefetch is only a hint.
+                ccs_runtime::prefetch_read(unsafe {
+                    base.add((*cursor.add(np.start as usize + j)).base)
+                });
+            }
         }
     }
 }
@@ -1376,7 +1424,13 @@ where
 /// never touch a ring. The firings — and their order — are exactly
 /// [`run_batch`]'s, so the sink digest is bit-identical by SDF
 /// determinism.
-fn run_fused_batch(plan: &ExecPlan, rings: &[SpscRing], task: &mut SegTask, firings: &mut u64) {
+fn run_fused_batch(
+    plan: &ExecPlan,
+    rings: &[SpscRing],
+    task: &mut SegTask,
+    cursors: &mut Vec<PortSpan>,
+    firings: &mut u64,
+) {
     let fp = &plan.fused[task.seg];
     let SegTask { arena, kernels, .. } = task;
     for io in &fp.loads {
@@ -1386,7 +1440,7 @@ fn run_fused_batch(plan: &ExecPlan, rings: &[SpscRing], task: &mut SegTask, firi
         arena[io.offset + a.len()..io.offset + io.items].copy_from_slice(b);
         r.release(io.items);
     }
-    fire_arena_plan(fp, arena, |local, ins, outs| {
+    fire_arena_plan(fp, arena, cursors, |local, ins, outs| {
         kernels[local].fire(ins, outs);
     });
     for io in &fp.stores {
@@ -1397,7 +1451,7 @@ fn run_fused_batch(plan: &ExecPlan, rings: &[SpscRing], task: &mut SegTask, firi
         b.copy_from_slice(&arena[io.offset + n..io.offset + io.items]);
         r.commit(io.items);
     }
-    *firings += fp.firings.len() as u64;
+    *firings += fp.order().len() as u64;
 }
 
 /// Execute one batch: the segment's local schedule, once.
@@ -1409,7 +1463,9 @@ fn run_batch(
     firings: &mut u64,
 ) {
     let seg = &plan.segments[task.seg];
-    for (&i, &v) in task.firings_local.iter().zip(&seg.firings) {
+    let order = plan.fused[task.seg].order();
+    for &i in order {
+        let (i, v) = (i as usize, seg.nodes[i as usize]);
         let vin = &mut task.in_scratch[i];
         for (j, &e) in g.in_edges(v).iter().enumerate() {
             rings[e.idx()].pop_slice(&mut vin[j]);
@@ -1420,7 +1476,7 @@ fn run_batch(
             rings[e.idx()].push_slice(&vout[j]);
         }
     }
-    *firings += seg.firings.len() as u64;
+    *firings += order.len() as u64;
 }
 
 #[cfg(test)]

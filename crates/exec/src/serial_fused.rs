@@ -4,11 +4,11 @@
 //! segments in contracted topological order, one granularity-`T` batch
 //! each per round — but each batch goes through the segment's
 //! precompiled [`ccs_partition::FiringPlan`]: cross inputs bulk-copied
-//! into a flat arena, firings running against precomputed arena spans
-//! (with the same software prefetch as the parallel fused path), cross
-//! outputs bulk-copied out. Internal edges never touch a ring, so the
-//! per-firing ring bookkeeping of `ccs_runtime::serial` disappears from
-//! the hot loop.
+//! into a flat arena, firings running against arena spans derived from
+//! per-port cursors (with the same software prefetch as the parallel
+//! fused path), cross outputs bulk-copied out. Internal edges never
+//! touch a ring, so the per-firing ring bookkeeping of
+//! `ccs_runtime::serial` disappears from the hot loop.
 //!
 //! Observability mirrors [`ccs_runtime::serial::execute_obs`]'s
 //! [`ObsConfig`] semantics at batch granularity: the warmup reset and
@@ -21,7 +21,7 @@ use crate::plan::{DagExecError, ExecPlan};
 use crate::run::fire_arena_plan;
 use ccs_graph::RateAnalysis;
 use ccs_obs::{Clock, EventKind, Tracer, WindowSampler};
-use ccs_partition::Partition;
+use ccs_partition::{Partition, PortSpan};
 use ccs_runtime::instance::Instance;
 use ccs_runtime::ring::Ring;
 use ccs_runtime::serial::{ObsConfig, RunStats, SerialObs};
@@ -65,6 +65,7 @@ pub fn execute_serial_fused(
         .iter()
         .map(|f| vec![0.0f32; f.arena_len])
         .collect();
+    let mut cursors: Vec<PortSpan> = Vec::new();
     // Kernel index per segment-local node, so firings dispatch straight
     // into the instance's kernel table.
     let kidx: Vec<Vec<usize>> = plan
@@ -126,7 +127,7 @@ pub fn execute_serial_fused(
                 arena[io.offset + a.len()..io.offset + io.items].copy_from_slice(b);
                 r.release(io.items);
             }
-            fire_arena_plan(fp, arena, |local, ins, outs| {
+            fire_arena_plan(fp, arena, &mut cursors, |local, ins, outs| {
                 inst.kernels[kidx[si][local]].fire(ins, outs);
             });
             for io in &fp.stores {
@@ -137,7 +138,7 @@ pub fn execute_serial_fused(
                 b.copy_from_slice(&arena[io.offset + n..io.offset + io.items]);
                 r.commit(io.items);
             }
-            let batch_firings = fp.firings.len() as u64;
+            let batch_firings = fp.order().len() as u64;
             fired += batch_firings;
             if wins.enabled() {
                 // One tick per firing keeps window indices (and the

@@ -145,3 +145,49 @@ fn fir_bound_kernels_fused_match_serial() {
         assert_eq!(stats.run.digest, want, "workers {workers}");
     }
 }
+
+#[test]
+fn wide_ports_take_the_heap_view_fallback() {
+    // The fused loop builds port views in stack arrays of 8 per side and
+    // falls back to heap vectors above that. A 9-in/9-out node (and the
+    // 9-input sink) exercise the fallback, with rate changes on both
+    // sides of the wide node: src -> a_i -(1/1)-> w -(2/1)-> b_i -(1/2)-> snk.
+    let mut b = ccs_graph::GraphBuilder::new();
+    let src = b.node("src", 8);
+    let w = b.node("w", 32);
+    let snk = b.node("snk", 8);
+    for i in 0..9 {
+        let a = b.node(format!("a{i}"), 16);
+        let out = b.node(format!("b{i}"), 16);
+        b.edge(src, a, 1, 1);
+        b.edge(a, w, 1, 1);
+        b.edge(w, out, 2, 1);
+        b.edge(out, snk, 1, 2);
+    }
+    let g = b.build().unwrap();
+    assert_eq!((g.in_edges(w).len(), g.out_edges(w).len()), (9, 9));
+    let ra = RateAnalysis::analyze_single_io(&g).unwrap();
+    let m = 64;
+    for (pname, p) in [
+        ("whole", Partition::whole(&g)),
+        ("dag-greedy", dag_greedy::greedy_topo(&g, 96)),
+    ] {
+        let want = serial_digest(&g, &ra, &p, m, 3);
+        let (stats, _) = execute_serial_fused(
+            Instance::synthetic(g.clone()),
+            &ra,
+            &p,
+            m,
+            3,
+            &ObsConfig::default(),
+        )
+        .unwrap();
+        assert_eq!(stats.digest, want, "{pname}: serial fused");
+        for workers in [1usize, 2] {
+            let cfg = RunConfig::new(workers).with_fused(true);
+            let stats =
+                execute_dag_cfg(Instance::synthetic(g.clone()), &ra, &p, m, 3, &cfg).unwrap();
+            assert_eq!(stats.run.digest, want, "{pname}: fused x{workers}");
+        }
+    }
+}

@@ -15,10 +15,11 @@
 //! [`compile_firing_plan`] goes one step further and makes fusion an
 //! *executor* concern: it compiles one segment's batch — a topologically
 //! legal firing sequence with per-node quotas — into a [`FiringPlan`]
-//! whose firings read and write precomputed spans of a single flat
-//! scratch arena. Intra-segment edges become plain offset arithmetic
-//! (no ring, no copy); only segment-boundary edges surface as bulk
-//! [`BoundaryIo`] transfers, once per batch.
+//! whose firings read and write spans of a single flat scratch arena,
+//! each derived as `base + k·rate` from a per-port table, so the plan
+//! costs one `u32` per firing. Intra-segment edges become plain offset
+//! arithmetic (no ring, no copy); only segment-boundary edges surface
+//! as bulk [`BoundaryIo`] transfers, once per batch.
 
 use crate::types::Partition;
 use ccs_graph::ratio::gcd_u64;
@@ -74,26 +75,33 @@ pub fn fuse(g: &StreamGraph, ra: &RateAnalysis, p: &Partition) -> Option<FusedGr
     })
 }
 
-/// One contiguous span of a segment's scratch arena (offsets and
-/// lengths in `f32` items).
+/// One port of a segment member in the arena: where the port's stream
+/// region starts and how many items one firing moves through it (both
+/// in `f32` items). The k-th firing of the member touches
+/// `[base + k·rate, base + (k+1)·rate)`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ArenaSpan {
-    pub offset: usize,
-    pub len: usize,
+pub struct PortSpan {
+    pub base: usize,
+    pub rate: usize,
 }
 
-/// One firing of the fused batch loop: which local kernel fires, and
-/// where each of its ports lives in the arena. Port order matches the
-/// graph's `in_edges`/`out_edges` order, i.e. the classic executors'
-/// scratch layout.
-#[derive(Clone, Debug)]
-pub struct FusedFiring {
-    /// Index of the firing node within the segment's node list.
-    pub local: usize,
-    /// Input span per input port.
-    pub inputs: Vec<ArenaSpan>,
-    /// Output span per output port.
-    pub outputs: Vec<ArenaSpan>,
+/// Where one member's ports sit in [`FiringPlan::ports`]: `inputs`
+/// entries from `start` in `in_edges` order, then `outputs` entries in
+/// `out_edges` order — the classic executors' scratch layout.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct NodePorts {
+    pub start: u32,
+    pub inputs: u32,
+    pub outputs: u32,
+}
+
+impl NodePorts {
+    /// The member's slice of the port table, inputs first.
+    #[inline]
+    pub fn range(self) -> std::ops::Range<usize> {
+        let start = self.start as usize;
+        start..start + self.inputs as usize + self.outputs as usize
+    }
 }
 
 /// A batch-boundary ring transfer: which cross edge, where its stream
@@ -119,20 +127,51 @@ pub struct BoundaryIo {
 /// edge on both sides (the graph is a dag), so one firing's port spans
 /// never alias.
 ///
+/// The plan is linear in the firings with a small constant: one `u32`
+/// per firing (`order`), plus one [`PortSpan`] per member port and one
+/// [`NodePorts`] per member. An executor derives each firing's spans
+/// with one cursor per port, reset to `base` at batch start and
+/// advanced by `rate` after every firing of its member.
+///
 /// The arena carries no state across batches: a full batch returns
 /// every internal stream to empty, so the arena (and the whole
 /// `FiringPlan`) migrates between workers with its segment, with no
 /// handoff protocol beyond moving the buffer.
+///
+/// Only [`compile_firing_plan`] builds one, so the firing order, the
+/// port table and the layout stay consistent: executors may derive raw
+/// arena views from them.
 #[derive(Clone, Debug)]
 pub struct FiringPlan {
     /// Arena length in `f32` items.
     pub arena_len: usize,
-    /// The batch's firings, in schedule order.
-    pub firings: Vec<FusedFiring>,
+    order: Vec<u32>,
+    node_ports: Vec<NodePorts>,
+    ports: Vec<PortSpan>,
     /// Cross inputs: bulk ring→arena copies to run before the firings.
     pub loads: Vec<BoundaryIo>,
     /// Cross outputs: bulk arena→ring copies to run after the firings.
     pub stores: Vec<BoundaryIo>,
+}
+
+impl FiringPlan {
+    /// The batch's firings, in schedule order, as indices into the
+    /// segment's node list.
+    pub fn order(&self) -> &[u32] {
+        &self.order
+    }
+
+    /// Per member (same order as the segment's node list): its slice of
+    /// [`FiringPlan::ports`].
+    pub fn node_ports(&self) -> &[NodePorts] {
+        &self.node_ports
+    }
+
+    /// Every member's ports, member by member, inputs before outputs,
+    /// each at its region base.
+    pub fn ports(&self) -> &[PortSpan] {
+        &self.ports
+    }
 }
 
 /// Compile one segment's batch into a [`FiringPlan`].
@@ -150,15 +189,18 @@ pub fn compile_firing_plan(
     firings: &[NodeId],
 ) -> Option<FiringPlan> {
     let mut member = vec![false; g.node_count()];
-    let mut local_of = vec![usize::MAX; g.node_count()];
+    let mut local_of = vec![u32::MAX; g.node_count()];
     for (i, &v) in nodes.iter().enumerate() {
         member[v.idx()] = true;
-        local_of[v.idx()] = i;
+        local_of[v.idx()] = u32::try_from(i).ok()?;
     }
 
     // One stream region per incident edge, in deterministic order:
     // node order, in-edges first (covers internal edges exactly once,
-    // at their consumer), then boundary out-edges.
+    // at their consumer), then boundary out-edges. A region holds the
+    // whole batch, `quota·rate` items, so `base + k·rate` stays inside
+    // it for every `k < quota`: this one check bounds every span the
+    // firings below can touch.
     fn place(
         region: &mut [usize],
         arena_len: &mut usize,
@@ -203,63 +245,91 @@ pub fn compile_firing_plan(
         }
     }
 
-    // Replay the schedule: compute each firing's spans from per-node
-    // firing counters, and validate legality with the same occupancy
-    // bookkeeping a real FIFO would do (cross inputs start full).
-    let mut occupancy = vec![0u64; g.edge_count()];
-    for io in &loads {
-        occupancy[io.edge.idx()] = io.items as u64;
+    // The port table: every member's regions and per-firing rates. For
+    // the replay, also note each input port's *writer*: the producer's
+    // output port on an internal edge, `LOADED` on a cross edge (whose
+    // whole batch is in the arena before the first firing) and on every
+    // output port.
+    const LOADED: usize = usize::MAX;
+    let mut node_ports = Vec::with_capacity(nodes.len());
+    let mut ports = Vec::new();
+    let mut port_edge = Vec::new();
+    let mut writer_of = vec![LOADED; g.edge_count()];
+    for &v in nodes {
+        let (ins, outs) = (g.in_edges(v), g.out_edges(v));
+        node_ports.push(NodePorts {
+            start: u32::try_from(ports.len()).ok()?,
+            inputs: u32::try_from(ins.len()).ok()?,
+            outputs: u32::try_from(outs.len()).ok()?,
+        });
+        for &e in ins {
+            port_edge.push(Some(e));
+            ports.push(PortSpan {
+                base: region[e.idx()],
+                rate: usize::try_from(g.edge(e).consume).ok()?,
+            });
+        }
+        for &e in outs {
+            if member[g.edge(e).dst.idx()] {
+                writer_of[e.idx()] = ports.len();
+            }
+            port_edge.push(None);
+            ports.push(PortSpan {
+                base: region[e.idx()],
+                rate: usize::try_from(g.edge(e).produce).ok()?,
+            });
+        }
     }
-    let mut fired = vec![0u64; g.node_count()];
-    let mut compiled = Vec::with_capacity(firings.len());
+    let writer: Vec<usize> = port_edge
+        .iter()
+        .map(|e| e.map_or(LOADED, |e| writer_of[e.idx()]))
+        .collect();
+
+    // Replay the schedule against the FIFO occupancy invariant, kept in
+    // cursor form: a port's cursor is where its member's next firing
+    // reads or writes, so an internal stream holds `writer cursor −
+    // reader cursor` items and a read needs `rate` of them. A cross
+    // input holds its whole batch, which the quota check covers.
+    let quota: Vec<u64> = nodes.iter().map(|v| quota[v.idx()]).collect();
+    let mut fired = vec![0u64; nodes.len()];
+    let mut cursor: Vec<usize> = ports.iter().map(|p| p.base).collect();
+    let mut order = Vec::with_capacity(firings.len());
     for &v in firings {
-        if !member[v.idx()] || fired[v.idx()] >= quota[v.idx()] {
+        let i = local_of[v.idx()];
+        let Some(np) = node_ports.get(i as usize) else {
+            return None; // not a member
+        };
+        let i = i as usize;
+        if fired[i] >= quota[i] {
             return None;
         }
-        let k = fired[v.idx()];
-        fired[v.idx()] += 1;
-        let mut inputs = Vec::with_capacity(g.in_edges(v).len());
-        for &e in g.in_edges(v) {
-            let consume = g.edge(e).consume;
-            if occupancy[e.idx()] < consume {
+        fired[i] += 1;
+        let range = np.range();
+        let outputs = range.start + np.inputs as usize;
+        for p in range.start..outputs {
+            let end = cursor[p] + ports[p].rate;
+            if writer[p] != LOADED && end > cursor[writer[p]] {
                 return None; // read would overtake the writes
             }
-            occupancy[e.idx()] -= consume;
-            inputs.push(ArenaSpan {
-                offset: region[e.idx()] + usize::try_from(k.checked_mul(consume)?).ok()?,
-                len: consume as usize,
-            });
+            cursor[p] = end;
         }
-        let mut outputs = Vec::with_capacity(g.out_edges(v).len());
-        for &e in g.out_edges(v) {
-            let produce = g.edge(e).produce;
-            if member[g.edge(e).dst.idx()] {
-                occupancy[e.idx()] += produce;
-            }
-            outputs.push(ArenaSpan {
-                offset: region[e.idx()] + usize::try_from(k.checked_mul(produce)?).ok()?,
-                len: produce as usize,
-            });
+        for p in outputs..range.end {
+            cursor[p] += ports[p].rate;
         }
-        compiled.push(FusedFiring {
-            local: local_of[v.idx()],
-            inputs,
-            outputs,
-        });
+        order.push(i as u32);
     }
-    // Quotas met and every stream drained: the arena is stateless
-    // across batches.
-    for &v in nodes {
-        if fired[v.idx()] != quota[v.idx()] {
-            return None;
-        }
-        if g.in_edges(v).iter().any(|&e| occupancy[e.idx()] != 0) {
-            return None;
-        }
+    // Quotas met and every internal stream drained: the arena is
+    // stateless across batches.
+    if fired != quota
+        || (0..ports.len()).any(|p| writer[p] != LOADED && cursor[p] != cursor[writer[p]])
+    {
+        return None;
     }
     Some(FiringPlan {
         arena_len,
-        firings: compiled,
+        order,
+        node_ports,
+        ports,
         loads,
         stores,
     })
@@ -410,6 +480,28 @@ mod tests {
         (b.build().unwrap(), vec![va, vb, vc])
     }
 
+    /// Expand a compact plan into one `(local, input spans, output
+    /// spans)` triple per firing, spans as `(offset, len)`: the k-th
+    /// firing of a member sits at `base + k·rate` on each of its ports.
+    #[allow(clippy::type_complexity)]
+    fn decode(plan: &FiringPlan) -> Vec<(u32, Vec<(usize, usize)>, Vec<(usize, usize)>)> {
+        let mut fired = vec![0usize; plan.node_ports.len()];
+        plan.order
+            .iter()
+            .map(|&local| {
+                let np = plan.node_ports[local as usize];
+                let k = fired[local as usize];
+                fired[local as usize] += 1;
+                let spans: Vec<(usize, usize)> = plan.ports[np.range()]
+                    .iter()
+                    .map(|p| (p.base + k * p.rate, p.rate))
+                    .collect();
+                let (ins, outs) = spans.split_at(np.inputs as usize);
+                (local, ins.to_vec(), outs.to_vec())
+            })
+            .collect()
+    }
+
     #[test]
     fn firing_plan_whole_segment_layout() {
         let (g, v) = rate_pipeline();
@@ -419,18 +511,13 @@ mod tests {
         // Two internal edges, 2 items each, no boundary traffic.
         assert_eq!(plan.arena_len, 4);
         assert!(plan.loads.is_empty() && plan.stores.is_empty());
-        assert_eq!(plan.firings.len(), 4);
+        assert_eq!(plan.order, vec![0, 1, 1, 2]);
         // Region for a→b is placed first (b's in-edge), b→c second.
-        let f = &plan.firings;
-        assert_eq!(f[0].local, 0);
-        assert_eq!(f[0].outputs, vec![ArenaSpan { offset: 0, len: 2 }]);
-        assert_eq!(f[1].inputs, vec![ArenaSpan { offset: 0, len: 1 }]);
-        assert_eq!(f[1].outputs, vec![ArenaSpan { offset: 2, len: 1 }]);
-        assert_eq!(f[2].inputs, vec![ArenaSpan { offset: 1, len: 1 }]);
-        assert_eq!(f[2].outputs, vec![ArenaSpan { offset: 3, len: 1 }]);
-        assert_eq!(f[3].local, 2);
-        assert_eq!(f[3].inputs, vec![ArenaSpan { offset: 2, len: 2 }]);
-        assert!(f[3].outputs.is_empty());
+        let f = decode(&plan);
+        assert_eq!(f[0], (0, vec![], vec![(0, 2)]));
+        assert_eq!(f[1], (1, vec![(0, 1)], vec![(2, 1)]));
+        assert_eq!(f[2], (1, vec![(1, 1)], vec![(3, 1)]));
+        assert_eq!(f[3], (2, vec![(2, 2)], vec![]));
     }
 
     #[test]
@@ -457,14 +544,9 @@ mod tests {
         assert_eq!((plan.loads[0].offset, plan.loads[0].items), (0, 2));
         assert_eq!(plan.stores.len(), 1);
         assert_eq!((plan.stores[0].offset, plan.stores[0].items), (2, 2));
-        assert_eq!(
-            plan.firings[1].inputs,
-            vec![ArenaSpan { offset: 1, len: 1 }]
-        );
-        assert_eq!(
-            plan.firings[1].outputs,
-            vec![ArenaSpan { offset: 3, len: 1 }]
-        );
+        let f = decode(&plan);
+        assert_eq!(f[0], (0, vec![(0, 1)], vec![(2, 1)]));
+        assert_eq!(f[1], (0, vec![(1, 1)], vec![(3, 1)]));
     }
 
     #[test]
@@ -474,5 +556,58 @@ mod tests {
         let quota = vec![1, 1, 1];
         let firings = vec![v[0], v[1], v[2]];
         assert!(compile_firing_plan(&g, &quota, &v, &firings).is_none());
+    }
+
+    #[test]
+    fn firing_plan_footprint_is_one_index_per_firing() {
+        // Every segment of a greedy partition, batched as a
+        // single-appearance schedule in topological order (legal with
+        // cross inputs pre-loaded): the plan holds one index per firing
+        // and one port entry per member port, and nothing else grows
+        // with the firing count.
+        let cfg = LayeredCfg {
+            layers: 5,
+            max_width: 4,
+            density: 0.3,
+            state: StateDist::Uniform(8, 48),
+            max_q: 3,
+        };
+        for seed in 0..6u64 {
+            let g = gen::layered(&cfg, seed);
+            let ra = analyzed(&g);
+            let quota: Vec<u64> = ra.repetitions.iter().map(|&q| 5 * q).collect();
+            let rank = ccs_graph::topo::topo_rank(&g);
+            let p = dag_greedy::greedy_topo(&g, 96);
+            for mut nodes in p.components() {
+                nodes.sort_by_key(|v| rank[v.idx()]);
+                let firings: Vec<NodeId> = nodes
+                    .iter()
+                    .flat_map(|&v| std::iter::repeat_n(v, quota[v.idx()] as usize))
+                    .collect();
+                let plan = compile_firing_plan(&g, &quota, &nodes, &firings).unwrap();
+                let degrees: usize = nodes
+                    .iter()
+                    .map(|&v| g.in_edges(v).len() + g.out_edges(v).len())
+                    .sum();
+                assert_eq!(plan.order.len(), firings.len(), "seed {seed}");
+                assert_eq!(plan.ports.len(), degrees, "seed {seed}");
+                assert_eq!(plan.node_ports.len(), nodes.len(), "seed {seed}");
+                // The last firing of every member ends exactly at the
+                // end of each of its port regions.
+                let f = decode(&plan);
+                for (i, &v) in nodes.iter().enumerate() {
+                    let last = f.iter().rev().find(|x| x.0 as usize == i).unwrap();
+                    for (&(off, len), port) in last
+                        .1
+                        .iter()
+                        .chain(&last.2)
+                        .zip(&plan.ports[plan.node_ports[i].range()])
+                    {
+                        assert_eq!(off + len, port.base + quota[v.idx()] as usize * port.rate);
+                        assert!(off + len <= plan.arena_len);
+                    }
+                }
+            }
+        }
     }
 }

@@ -39,6 +39,6 @@ pub mod multilevel;
 pub mod pipeline;
 pub mod types;
 
-pub use fusion::{compile_firing_plan, ArenaSpan, BoundaryIo, FiringPlan, FusedFiring};
+pub use fusion::{compile_firing_plan, BoundaryIo, FiringPlan, NodePorts, PortSpan};
 pub use pipeline::{PipelineError, PipelinePartition, Segmentation};
 pub use types::{ComponentId, Partition, PartitionError};

@@ -125,6 +125,23 @@ fn round_quota(ra: &RateAnalysis, t: u64) -> Result<Vec<u64>, PartSchedError> {
 /// `highwater` in place; returns the firing sequence, or `None` if the
 /// component wedges.
 ///
+/// The fireable set is kept incrementally, as a bitset over the
+/// component's members in topological-rank order, so "deepest fireable"
+/// is the highest set bit. Each member counts what blocks it: inputs
+/// short of one firing's items, bounded outputs without room for one
+/// firing's items, and its spent quota; it is fireable when the count
+/// is zero. A firing changes only the occupancy of the fired
+/// module's own edges, so only three kinds of member are re-tested
+/// afterwards, each by one comparison per shared edge: the module
+/// itself, its in-component consumers, and — when `capacities` bounds
+/// the edge between them — its in-component producers. Ranks are a
+/// permutation, so the sequence is exactly the one a full rescan per
+/// firing would pick, at O(firings × (degree + members/64)) instead of
+/// O(firings × members × degree). On top of that, stretches that
+/// provably repeat are copied instead of re-derived (see
+/// `DryRun::repeats`), which makes a long batch cost little more than
+/// its transients.
+///
 /// Shared by the serial [`inhomogeneous`] scheduler and `ccs-exec`'s
 /// batch planner, so the serial reference and the parallel executor run
 /// bit-identical local schedules.
@@ -137,39 +154,324 @@ pub fn component_round_schedule(
     occupancy: &mut [u64],
     highwater: &mut [u64],
 ) -> Option<Vec<NodeId>> {
-    let mut remaining: Vec<u64> = comp.iter().map(|v| quota[v.idx()]).collect();
-    let mut left: u64 = remaining.iter().sum();
-    let mut seq = Vec::with_capacity(usize::try_from(left).unwrap_or(0));
-    while left > 0 {
-        let pick = comp
-            .iter()
-            .enumerate()
-            .filter(|&(i, &v)| {
-                remaining[i] > 0
-                    && g.in_edges(v)
-                        .iter()
-                        .all(|&e| occupancy[e.idx()] >= g.edge(e).consume)
-                    && capacities.is_none_or(|caps| {
-                        g.out_edges(v).iter().all(|&e| {
-                            caps[e.idx()] == u64::MAX
-                                || occupancy[e.idx()] + g.edge(e).produce <= caps[e.idx()]
-                        })
-                    })
-            })
-            .max_by_key(|&(_, &v)| rank[v.idx()]);
-        let (i, &v) = pick?;
-        for &e in g.in_edges(v) {
-            occupancy[e.idx()] -= g.edge(e).consume;
+    DryRun::new(g, rank, quota, comp, capacities, occupancy).run(occupancy, highwater)
+}
+
+/// One end of an edge at a member: the member moves `rate` items per
+/// firing; `peer` is the other end's member index ([`DryRun::OUTSIDE`]
+/// for a node outside the component), which moves `peer_rate` items.
+#[derive(Clone, Copy)]
+struct Port {
+    e: usize,
+    rate: u64,
+    peer: usize,
+    peer_rate: u64,
+    cap: u64,
+}
+
+/// [`component_round_schedule`]'s bookkeeping. Member `i` is
+/// `members[i]`, the i-th member by rank; its inputs are
+/// `ins[in_at[i]..in_at[i + 1]]` and its outputs
+/// `outs[out_at[i]..out_at[i + 1]]`.
+struct DryRun {
+    members: Vec<NodeId>,
+    ins: Vec<Port>,
+    in_at: Vec<usize>,
+    outs: Vec<Port>,
+    out_at: Vec<usize>,
+    remaining: Vec<u64>,
+    /// Per member: inputs holding fewer than one firing's items, plus
+    /// bounded outputs without room for one firing's items, plus one
+    /// once its quota is spent. Zero means fireable.
+    blocked: Vec<u32>,
+    /// The fireable set, bit `i` for member `i`.
+    ready: Vec<u64>,
+}
+
+/// A point of a [`DryRun`] to compare later points against: the
+/// sequence length, the member picked there, the members' remaining
+/// quotas, and the occupancy of every member input (`ins` order).
+struct Mark {
+    at: usize,
+    member: usize,
+    remaining: Vec<u64>,
+    ins: Vec<u64>,
+}
+
+impl DryRun {
+    const OUTSIDE: usize = usize::MAX;
+
+    fn new(
+        g: &StreamGraph,
+        rank: &[usize],
+        quota: &[u64],
+        comp: &[NodeId],
+        capacities: Option<&[u64]>,
+        occupancy: &[u64],
+    ) -> DryRun {
+        let mut members = comp.to_vec();
+        members.sort_unstable_by_key(|v| rank[v.idx()]);
+        let local = |v: NodeId| {
+            members
+                .binary_search_by_key(&rank[v.idx()], |u| rank[u.idx()])
+                .unwrap_or(DryRun::OUTSIDE)
+        };
+        let cap = |e: EdgeId| capacities.map_or(u64::MAX, |caps| caps[e.idx()]);
+        let (mut ins, mut in_at) = (Vec::new(), vec![0]);
+        let (mut outs, mut out_at) = (Vec::new(), vec![0]);
+        for &v in &members {
+            ins.extend(g.in_edges(v).iter().map(|&e| {
+                let edge = g.edge(e);
+                Port {
+                    e: e.idx(),
+                    rate: edge.consume,
+                    peer: local(edge.src),
+                    peer_rate: edge.produce,
+                    cap: cap(e),
+                }
+            }));
+            outs.extend(g.out_edges(v).iter().map(|&e| {
+                let edge = g.edge(e);
+                Port {
+                    e: e.idx(),
+                    rate: edge.produce,
+                    peer: local(edge.dst),
+                    peer_rate: edge.consume,
+                    cap: cap(e),
+                }
+            }));
+            in_at.push(ins.len());
+            out_at.push(outs.len());
         }
-        for &e in g.out_edges(v) {
-            occupancy[e.idx()] += g.edge(e).produce;
-            highwater[e.idx()] = highwater[e.idx()].max(occupancy[e.idx()]);
-        }
-        remaining[i] -= 1;
-        left -= 1;
-        seq.push(v);
+        let remaining = members.iter().map(|v| quota[v.idx()]).collect();
+        let mut dry = DryRun {
+            members,
+            ins,
+            in_at,
+            outs,
+            out_at,
+            remaining,
+            blocked: Vec::new(),
+            ready: vec![0; comp.len().div_ceil(64)],
+        };
+        dry.reblock(occupancy);
+        dry
     }
-    Some(seq)
+
+    /// Derive every member's `blocked` count and ready bit from scratch.
+    fn reblock(&mut self, occupancy: &[u64]) {
+        self.blocked = (0..self.members.len())
+            .map(|i| self.blocked_of(i, occupancy))
+            .collect();
+        for i in 0..self.members.len() {
+            self.refresh(i);
+        }
+    }
+
+    /// Set member `i`'s ready bit from its `blocked` count.
+    #[inline]
+    fn refresh(&mut self, i: usize) {
+        let (word, bit) = (&mut self.ready[i / 64], i % 64);
+        *word = (*word & !(1 << bit)) | (((self.blocked[i] == 0) as u64) << bit);
+    }
+
+    /// The deepest fireable member: the highest ready bit.
+    fn deepest(&self) -> Option<usize> {
+        let w = self.ready.iter().rposition(|&word| word != 0)?;
+        Some(w * 64 + 63 - self.ready[w].leading_zeros() as usize)
+    }
+
+    /// Member `i`'s inputs and outputs.
+    fn ports(&self, i: usize) -> (&[Port], &[Port]) {
+        (
+            &self.ins[self.in_at[i]..self.in_at[i + 1]],
+            &self.outs[self.out_at[i]..self.out_at[i + 1]],
+        )
+    }
+
+    /// Member `i`'s `blocked` count, from scratch.
+    fn blocked_of(&self, i: usize, occupancy: &[u64]) -> u32 {
+        let (ins, outs) = self.ports(i);
+        let short = ins.iter().filter(|p| occupancy[p.e] < p.rate).count();
+        let full = outs
+            .iter()
+            .filter(|p| p.cap != u64::MAX && occupancy[p.e] + p.rate > p.cap)
+            .count();
+        (short + full) as u32 + (self.remaining[i] == 0) as u32
+    }
+
+    fn mark(&self, at: usize, member: usize, occupancy: &[u64]) -> Mark {
+        Mark {
+            at,
+            member,
+            remaining: self.remaining.clone(),
+            ins: self.ins.iter().map(|p| occupancy[p.e]).collect(),
+        }
+    }
+
+    /// How often the firings since `mark` can run again verbatim;
+    /// zero when the state has not recurred.
+    ///
+    /// Call a member *idle* when it did not fire since `mark` (nodes
+    /// outside the component are idle). The state recurs when every
+    /// edge between two members that fired is back at its occupancy at
+    /// `mark`. An edge between a fired member and an idle one *drifts*:
+    /// only its fired end moves it, by the same amount in every repeat.
+    /// Drift shrinks the fired members' resources (items on an input,
+    /// room on a bounded output), as repeats shrink their remaining
+    /// quota; it must not wake the idle end, so an idle member that
+    /// drift feeds — items on its input, room on its bounded output —
+    /// must be stuck: quota spent, or an input short or a bounded
+    /// output full whose other end is idle too, which no repeat
+    /// changes. Then at every step of a repeat the fireable set is a
+    /// subset of the one at the same step since `mark`, so the deepest
+    /// fireable member is unchanged as long as it is still fireable.
+    /// Shrinking is monotone, so it suffices that every member can
+    /// still make its last firing of the last repeat.
+    fn repeats(&self, mark: &Mark, occupancy: &[u64]) -> u64 {
+        let idle = |j: usize| j == DryRun::OUTSIDE || mark.remaining[j] == self.remaining[j];
+        let stuck = |j: usize| {
+            let (ins, outs) = self.ports(j);
+            self.remaining[j] == 0
+                || ins.iter().any(|p| occupancy[p.e] < p.rate && idle(p.peer))
+                || outs
+                    .iter()
+                    .any(|p| p.cap != u64::MAX && occupancy[p.e] + p.rate > p.cap && idle(p.peer))
+        };
+        let mut k = u64::MAX;
+        for (i, (&then, &now)) in mark.remaining.iter().zip(&self.remaining).enumerate() {
+            let fired = then - now;
+            if fired == 0 {
+                continue;
+            }
+            k = k.min(now / fired);
+            for (p, &at_mark) in self.ins[self.in_at[i]..self.in_at[i + 1]]
+                .iter()
+                .zip(&mark.ins[self.in_at[i]..self.in_at[i + 1]])
+            {
+                if !idle(p.peer) {
+                    if occupancy[p.e] != at_mark {
+                        return 0;
+                    }
+                    continue;
+                }
+                if p.peer != DryRun::OUTSIDE && p.cap != u64::MAX && !stuck(p.peer) {
+                    return 0;
+                }
+                k = k.min(occupancy[p.e] / fired.saturating_mul(p.rate));
+            }
+            for p in &self.outs[self.out_at[i]..self.out_at[i + 1]] {
+                if !idle(p.peer) {
+                    continue; // compared as the consumer's input
+                }
+                if p.peer != DryRun::OUTSIDE && !stuck(p.peer) {
+                    return 0;
+                }
+                if p.cap != u64::MAX {
+                    k = k.min(p.cap.saturating_sub(occupancy[p.e]) / fired.saturating_mul(p.rate));
+                }
+            }
+        }
+        k
+    }
+
+    /// Apply `k` repeats of the firings since `mark` to the quotas and
+    /// the drifting edges. Every other edge ends each repeat where it
+    /// started, and its highwater was reached since `mark` already.
+    fn repeat(&mut self, k: u64, mark: &Mark, occupancy: &mut [u64], highwater: &mut [u64]) {
+        let fired: Vec<u64> = mark
+            .remaining
+            .iter()
+            .zip(&self.remaining)
+            .map(|(&then, &now)| (then - now) * k)
+            .collect();
+        let idle = |j: usize| j == DryRun::OUTSIDE || fired[j] == 0;
+        for (i, &n) in fired.iter().enumerate().filter(|&(_, &n)| n > 0) {
+            for p in &self.ins[self.in_at[i]..self.in_at[i + 1]] {
+                if idle(p.peer) {
+                    occupancy[p.e] -= n * p.rate;
+                }
+            }
+            for p in &self.outs[self.out_at[i]..self.out_at[i + 1]] {
+                if idle(p.peer) {
+                    occupancy[p.e] += n * p.rate;
+                    highwater[p.e] = highwater[p.e].max(occupancy[p.e]);
+                }
+            }
+            self.remaining[i] -= n;
+        }
+    }
+
+    fn run(mut self, occupancy: &mut [u64], highwater: &mut [u64]) -> Option<Vec<NodeId>> {
+        let mut left: u64 = self.remaining.iter().sum();
+        let mut seq = Vec::with_capacity(usize::try_from(left).unwrap_or(0));
+        // A batch settles into periodic stretches, so look for a state
+        // that recurs where the member picked at a mark is picked again
+        // (Brent's cycle search: the mark moves at power-of-two
+        // distances), and replay the firings in between as often as
+        // `repeats` allows.
+        let mut mark = self.mark(0, DryRun::OUTSIDE, occupancy);
+        let (mut power, mut since) = (1u64, 0u64);
+        while left > 0 {
+            let i = self.deepest()?;
+            if i == mark.member && seq.len() > mark.at {
+                let k = self.repeats(&mark, occupancy);
+                let period = seq.len() - mark.at;
+                // A skip re-derives every member's blocked count, so it
+                // must save more firings than there are members.
+                if k.saturating_mul(period as u64) > self.members.len() as u64 {
+                    self.repeat(k, &mark, occupancy, highwater);
+                    for _ in 0..k {
+                        seq.extend_from_within(mark.at..mark.at + period);
+                    }
+                    left -= k * period as u64;
+                    self.reblock(occupancy);
+                    // Mark the next step afresh, at the current distance.
+                    mark.member = DryRun::OUTSIDE;
+                    since = power - 1;
+                    continue;
+                }
+            }
+            since += 1;
+            if since == power {
+                mark = self.mark(seq.len(), i, occupancy);
+                (power, since) = (power * 2, 0);
+            }
+            // `i` is fireable: every input holds `rate` items and every
+            // bounded output has room for `rate` more.
+            for k in self.in_at[i]..self.in_at[i + 1] {
+                let p = self.ins[k];
+                let before = occupancy[p.e];
+                let after = before - p.rate;
+                occupancy[p.e] = after;
+                self.blocked[i] += (after < p.rate) as u32;
+                if p.peer != DryRun::OUTSIDE && p.cap != u64::MAX {
+                    self.blocked[p.peer] -=
+                        ((before + p.peer_rate > p.cap) & (after + p.peer_rate <= p.cap)) as u32;
+                    self.refresh(p.peer);
+                }
+            }
+            for k in self.out_at[i]..self.out_at[i + 1] {
+                let p = self.outs[k];
+                let before = occupancy[p.e];
+                let after = before + p.rate;
+                occupancy[p.e] = after;
+                highwater[p.e] = highwater[p.e].max(after);
+                self.blocked[i] += (p.cap != u64::MAX && after + p.rate > p.cap) as u32;
+                if p.peer != DryRun::OUTSIDE {
+                    self.blocked[p.peer] -=
+                        ((before < p.peer_rate) & (after >= p.peer_rate)) as u32;
+                    self.refresh(p.peer);
+                }
+            }
+            self.remaining[i] -= 1;
+            self.blocked[i] += (self.remaining[i] == 0) as u32;
+            self.refresh(i);
+            left -= 1;
+            seq.push(self.members[i]);
+        }
+        Some(seq)
+    }
 }
 
 /// Nodes of each component in global topological order, components in
@@ -244,6 +546,29 @@ pub fn homogeneous(
     })
 }
 
+/// Capacities the [`inhomogeneous`] dry run runs against: cross edges
+/// hold exactly one round of traffic, `quota(src)·produce = T·gain(e)`;
+/// internal edges are unbounded (`u64::MAX`) until the dry run's
+/// highwater sizes them.
+fn dry_run_capacities(
+    g: &StreamGraph,
+    p: &Partition,
+    quota: &[u64],
+) -> Result<Vec<u64>, PartSchedError> {
+    g.edge_ids()
+        .map(|e| {
+            let edge = g.edge(e);
+            if p.component_of(edge.src) == p.component_of(edge.dst) {
+                Ok(u64::MAX)
+            } else {
+                quota[edge.src.idx()]
+                    .checked_mul(edge.produce)
+                    .ok_or(PartSchedError::Overflow)
+            }
+        })
+        .collect()
+}
+
 /// The general (inhomogeneous) partitioned scheduler.
 ///
 /// Computes the granularity `T` ([`granularity_t`] with `m = m_items`),
@@ -264,21 +589,7 @@ pub fn inhomogeneous(
     let comps = ordered_components(g, p)?;
     let t = granularity_t(g, ra, m_items)?;
     let quota = round_quota(ra, t)?;
-
-    // Cross-edge capacities: exactly one round of traffic.
-    let mut capacities: Vec<u64> = Vec::with_capacity(g.edge_count());
-    for e in g.edge_ids() {
-        let edge = g.edge(e);
-        if p.component_of(edge.src) == p.component_of(edge.dst) {
-            capacities.push(u64::MAX); // placeholder; set from the dry run
-        } else {
-            // quota(src) * produce = T·gain(e)
-            let cap = quota[edge.src.idx()]
-                .checked_mul(edge.produce)
-                .ok_or(PartSchedError::Overflow)?;
-            capacities.push(cap);
-        }
-    }
+    let mut capacities = dry_run_capacities(g, p, &quota)?;
 
     // Dry-run one round with unbounded internal buffers, recording the
     // firing sequence and internal occupancy highwater marks.
@@ -452,6 +763,256 @@ mod tests {
         ex.run(&run.firings)
             .unwrap_or_else(|e| panic!("{}: illegal schedule: {e}", run.label));
         ex.report()
+    }
+
+    /// The dry run as a full rescan of the component per firing: the
+    /// reference [`component_round_schedule`]'s incremental fireable
+    /// set must match firing for firing.
+    fn scan_round_schedule(
+        g: &StreamGraph,
+        rank: &[usize],
+        quota: &[u64],
+        comp: &[NodeId],
+        capacities: Option<&[u64]>,
+        occupancy: &mut [u64],
+        highwater: &mut [u64],
+    ) -> Option<Vec<NodeId>> {
+        let mut remaining: Vec<u64> = comp.iter().map(|v| quota[v.idx()]).collect();
+        let mut left: u64 = remaining.iter().sum();
+        let mut seq = Vec::new();
+        while left > 0 {
+            let pick = comp
+                .iter()
+                .enumerate()
+                .filter(|&(i, &v)| {
+                    remaining[i] > 0
+                        && g.in_edges(v)
+                            .iter()
+                            .all(|&e| occupancy[e.idx()] >= g.edge(e).consume)
+                        && capacities.is_none_or(|caps| {
+                            g.out_edges(v).iter().all(|&e| {
+                                caps[e.idx()] == u64::MAX
+                                    || occupancy[e.idx()] + g.edge(e).produce <= caps[e.idx()]
+                            })
+                        })
+                })
+                .max_by_key(|&(_, &v)| rank[v.idx()]);
+            let (i, &v) = pick?;
+            for &e in g.in_edges(v) {
+                occupancy[e.idx()] -= g.edge(e).consume;
+            }
+            for &e in g.out_edges(v) {
+                occupancy[e.idx()] += g.edge(e).produce;
+                highwater[e.idx()] = highwater[e.idx()].max(occupancy[e.idx()]);
+            }
+            remaining[i] -= 1;
+            left -= 1;
+            seq.push(v);
+        }
+        Some(seq)
+    }
+
+    /// Run one component from `occupancy` with both the incremental
+    /// schedule and the rescan; assert identical sequences, highwater
+    /// marks and final occupancy (wedged runs included). Members reach
+    /// the incremental version in reverse rank order, so it cannot lean
+    /// on its caller's sort.
+    #[allow(clippy::too_many_arguments)]
+    fn assert_component_agrees(
+        g: &StreamGraph,
+        rank: &[usize],
+        quota: &[u64],
+        comp: &[NodeId],
+        capacities: Option<&[u64]>,
+        occupancy: &mut [u64],
+        highwater: &mut [u64],
+        label: &str,
+    ) -> Option<Vec<NodeId>> {
+        let reversed: Vec<NodeId> = comp.iter().rev().copied().collect();
+        let (mut occ_b, mut hw_b) = (occupancy.to_vec(), highwater.to_vec());
+        let a =
+            component_round_schedule(g, rank, quota, &reversed, capacities, occupancy, highwater);
+        let b = scan_round_schedule(g, rank, quota, comp, capacities, &mut occ_b, &mut hw_b);
+        assert_eq!(a, b, "{label}: sequence");
+        assert_eq!(highwater, &hw_b[..], "{label}: highwater");
+        assert_eq!(occupancy, &occ_b[..], "{label}: occupancy");
+        a
+    }
+
+    /// Dry-run one round component by component, as `inhomogeneous`
+    /// does, checking every component; returns whether the round
+    /// completed.
+    fn assert_dry_runs_agree(
+        g: &StreamGraph,
+        p: &Partition,
+        quota: &[u64],
+        capacities: Option<&[u64]>,
+        label: &str,
+    ) -> bool {
+        let rank = ccs_graph::topo::topo_rank(g);
+        let mut occupancy = vec![0u64; g.edge_count()];
+        let mut highwater = vec![0u64; g.edge_count()];
+        ordered_components(g, p)
+            .unwrap()
+            .iter()
+            .enumerate()
+            .all(|(ci, comp)| {
+                let label = format!("{label} component {ci}");
+                assert_component_agrees(
+                    g,
+                    &rank,
+                    quota,
+                    comp,
+                    capacities,
+                    &mut occupancy,
+                    &mut highwater,
+                    &label,
+                )
+                .is_some()
+            })
+    }
+
+    /// Start every component from a scrambled state instead: inputs
+    /// from outside loaded with anywhere from none to all of their
+    /// batch, internal edges holding a few stray items. Most of these
+    /// runs wedge part-way, after long stretches in which drifting
+    /// edges bound the repeats.
+    fn assert_scrambled_runs_agree(
+        g: &StreamGraph,
+        p: &Partition,
+        quota: &[u64],
+        capacities: Option<&[u64]>,
+        seed: u64,
+        label: &str,
+    ) {
+        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let mut next = |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n.max(1)
+        };
+        let rank = ccs_graph::topo::topo_rank(g);
+        for (ci, comp) in ordered_components(g, p).unwrap().iter().enumerate() {
+            let mut occupancy = vec![0u64; g.edge_count()];
+            for e in g.edge_ids() {
+                let edge = g.edge(e);
+                let (from_in, to_in) = (comp.contains(&edge.src), comp.contains(&edge.dst));
+                if to_in && !from_in {
+                    occupancy[e.idx()] = next(quota[edge.dst.idx()] * edge.consume + 1);
+                } else if to_in {
+                    occupancy[e.idx()] = next(edge.produce + edge.consume);
+                }
+            }
+            let mut highwater = occupancy.clone();
+            let label = format!("{label} scrambled component {ci}");
+            assert_component_agrees(
+                g,
+                &rank,
+                quota,
+                comp,
+                capacities,
+                &mut occupancy,
+                &mut highwater,
+                &label,
+            );
+        }
+    }
+
+    /// Check the incremental dry run against the rescan under no
+    /// capacities, the capacities `inhomogeneous` passes, and tight
+    /// internal buffers (which exercise the producer re-test and may
+    /// wedge — identically on both sides), each from the round's own
+    /// start state and from scrambled ones. Returns whether the
+    /// tight-buffer round completed.
+    fn check_dry_run_equivalence(
+        g: &StreamGraph,
+        p: &Partition,
+        m: u64,
+        seed: u64,
+        label: &str,
+    ) -> bool {
+        let ra = RateAnalysis::analyze_single_io(g).unwrap();
+        let quota = round_quota(&ra, granularity_t(g, &ra, m).unwrap()).unwrap();
+        let caps = dry_run_capacities(g, p, &quota).unwrap();
+        let tight: Vec<u64> = g
+            .edge_ids()
+            .map(|e| match caps[e.idx()] {
+                u64::MAX => buffers::min_buf_safe(g, e),
+                cross => cross,
+            })
+            .collect();
+        assert!(
+            assert_dry_runs_agree(g, p, &quota, None, label),
+            "{label}: unbounded dry run wedged"
+        );
+        assert!(
+            assert_dry_runs_agree(g, p, &quota, Some(&caps), label),
+            "{label}: bounded dry run wedged"
+        );
+        let tight_completed = assert_dry_runs_agree(g, p, &quota, Some(&tight), label);
+        for caps in [None, Some(&caps[..]), Some(&tight[..])] {
+            assert_scrambled_runs_agree(g, p, &quota, caps, seed, label);
+        }
+        tight_completed
+    }
+
+    #[test]
+    fn incremental_dry_run_matches_rescan_on_dags() {
+        let mut tight_completed = 0;
+        for (layers, max_width, max_q, m) in [
+            (4, 3, 3, 48),
+            (6, 5, 2, 48),
+            (8, 6, 4, 96),
+            (5, 4, 1, 200),
+            (6, 4, 3, 256),
+        ] {
+            let cfg = LayeredCfg {
+                layers,
+                max_width,
+                density: 0.3,
+                state: StateDist::Uniform(8, 48),
+                max_q,
+            };
+            for seed in 0..8u64 {
+                let g = gen::layered(&cfg, seed);
+                for (bound, p) in [
+                    (96, dag_greedy::greedy_topo(&g, 96)),
+                    (256, dag_greedy::greedy_topo(&g, 256)),
+                    (0, Partition::whole(&g)),
+                ] {
+                    let label = format!(
+                        "layered {layers}x{max_width} q{max_q} m{m} seed {seed} bound {bound}"
+                    );
+                    tight_completed += check_dry_run_equivalence(&g, &p, m, seed, &label) as u32;
+                }
+            }
+        }
+        assert!(tight_completed > 0, "no tight-buffer round completed");
+    }
+
+    #[test]
+    fn incremental_dry_run_matches_rescan_on_pipelines() {
+        for seed in 0..24u64 {
+            let cfg = PipelineCfg {
+                len: 4 + (seed as usize % 12),
+                state: StateDist::Uniform(8, 64),
+                max_q: 1 + seed % 4,
+                max_rate_scale: 2,
+            };
+            let g = gen::pipeline(&cfg, seed);
+            let ra = RateAnalysis::analyze_single_io(&g).unwrap();
+            let pp = ppart::greedy_theorem5(&g, &ra, 64).unwrap();
+            let m = 64 << (seed % 3);
+            check_dry_run_equivalence(&g, &pp.partition, m, seed, &format!("pipeline seed {seed}"));
+            check_dry_run_equivalence(
+                &g,
+                &Partition::whole(&g),
+                m,
+                seed,
+                &format!("whole seed {seed}"),
+            );
+        }
     }
 
     #[test]
