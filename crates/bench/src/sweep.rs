@@ -19,7 +19,7 @@
 //! * [`Sweep`] — a named set of cells × workloads × repeats plus the
 //!   declared [`Comparison`]s. [`Sweep::run`] executes the grid through
 //!   [`execute_dag_cfg`](ccs_exec::execute_dag_cfg) (parallel cells)
-//!   and [`execute_counted_warm`](ccs_runtime::serial::execute_counted_warm)
+//!   and the serial oracle [`execute_obs`](ccs_runtime::serial::execute_obs)
 //!   (serial cells), errors on any digest divergence, and emits one
 //!   versioned [`SCHEMA`] JSON document: per-cell per-metric
 //!   mean ± stddev, and per-comparison paired deltas with
@@ -39,7 +39,7 @@ use ccs_cachesim::CacheParams;
 use ccs_core::{Horizon, Planner};
 use ccs_exec::{AdaptConfig, Placement, RunConfig, WarmupMode};
 use ccs_graph::gen::{self, LayeredCfg, StateDist};
-use ccs_graph::{RateAnalysis, StreamGraph};
+use ccs_graph::StreamGraph;
 use ccs_perf::CounterKind;
 use ccs_topo::{TopoSpec, Topology};
 use serde_json::Value;
@@ -115,8 +115,8 @@ pub fn builtin_workloads() -> Vec<(String, StreamGraph)> {
 /// Which executor a [`Cell`] runs on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CellEngine {
-    /// The paper's two-level schedule on one thread
-    /// (`execute_counted_warm`).
+    /// The paper's two-level schedule on one thread through the serial
+    /// oracle (`ccs_runtime::serial::execute_obs`).
     Serial,
     /// The segment-affine multicore executor (`execute_dag_cfg`).
     Parallel,
@@ -162,12 +162,6 @@ pub struct Cell {
     /// between workers live when counter drift or stall pressure says
     /// the static placement went stale.
     pub adapt: bool,
-    /// Run batches through the fused hot path: one bulk ring op per
-    /// cross edge per batch, intra-segment traffic in a flat arena,
-    /// software prefetch on the next firing's inputs. Serial cells go
-    /// through [`ccs_exec::execute_serial_fused`]; the digest stays
-    /// bit-identical either way (asserted by the cross-cell check).
-    pub fused: bool,
 }
 
 impl Cell {
@@ -189,7 +183,6 @@ impl Cell {
             trace: false,
             windows: 0,
             adapt: false,
-            fused: false,
         }
     }
 
@@ -262,11 +255,6 @@ impl Cell {
         self
     }
 
-    pub fn with_fused(mut self, on: bool) -> Cell {
-        self.fused = on;
-        self
-    }
-
     /// The label comparisons and reports refer to: the explicit one, or
     /// one derived from the distinguishing fields (`llc+pin/w4`,
     /// `rr/w2/2x2x2`, `serial`).
@@ -275,11 +263,7 @@ impl Cell {
             return l.clone();
         }
         if self.engine == CellEngine::Serial {
-            return if self.fused {
-                "serial+fused".to_string()
-            } else {
-                "serial".to_string()
-            };
+            return "serial".to_string();
         }
         let mut l = match self.placement {
             Placement::RoundRobin => "rr".to_string(),
@@ -291,9 +275,6 @@ impl Cell {
         }
         if self.adapt {
             l.push_str("+adapt");
-        }
-        if self.fused {
-            l.push_str("+fused");
         }
         let _ = write!(l, "/w{}", self.workers);
         if let Some(t) = &self.topology {
@@ -723,11 +704,13 @@ impl Sweep {
 
 /// The machine/counter-availability block every sweep document embeds
 /// (`"machine"`), so a saved sweep is self-describing for cross-run
-/// comparability: the discovered topology, and whether hardware
-/// counters were actually available (`"pmu"`) or every reading degraded
-/// to wall-clock only (`"timing-only"`, e.g. under `CCS_NO_PERF=1` or a
-/// restrictive `perf_event_paranoid`). `ccs bench` fingerprints history
-/// records from the same probe.
+/// comparability: the discovered topology, and what the counters could
+/// actually measure ([`ccs_perf::counter_label`]): `"pmu"` when a
+/// hardware event opened, `"task-clock"` when only the software CPU
+/// clock did (common in containers and VMs), or `"timing-only"` when
+/// nothing opened (e.g. under `CCS_NO_PERF=1` or a restrictive
+/// `perf_event_paranoid`). `ccs bench` fingerprints history records
+/// from the same probe.
 pub fn machine_json() -> Value {
     let topo = Topology::discover();
     let probe = ccs_perf::probe();
@@ -740,7 +723,7 @@ pub fn machine_json() -> Value {
             topo.cluster_count(),
             topo.core_count(),
         ),
-        "counters": if probe.available { "pmu" } else { "timing-only" },
+        "counters": probe.label,
         "counters_reason": match &probe.reason {
             Some(r) => Value::String(r.clone()),
             None => Value::Null,
@@ -750,8 +733,7 @@ pub fn machine_json() -> Value {
 
 /// Run one serial repeat: the two-level schedule for the same number of
 /// granularity-`T` rounds, through the same counter suite, with the
-/// warmup window expressed in firings. A fused cell runs the identical
-/// firing sequence through [`ccs_exec::execute_serial_fused`] instead.
+/// warmup window expressed in firings, through the serial oracle.
 fn run_serial(
     plan: &ccs_core::Plan,
     name: &str,
@@ -771,12 +753,7 @@ fn run_serial(
         trace: cell.trace,
         ..ccs_runtime::ObsConfig::default()
     };
-    let (run, obs) = if cell.fused {
-        let ra = RateAnalysis::analyze_single_io(g)?;
-        ccs_exec::execute_serial_fused(inst, &ra, &plan.partition, cache_m(g), rounds, &obs_cfg)?
-    } else {
-        ccs_runtime::serial::execute_obs(&mut inst, &plan.run, &obs_cfg)
-    };
+    let (run, obs) = ccs_runtime::serial::execute_obs(&mut inst, &plan.run, &obs_cfg);
     let mpki_series: Vec<f64> = obs
         .windows
         .iter()
@@ -845,8 +822,7 @@ fn run_parallel(
         .with_warmup_mode(cell.warmup_mode)
         .with_first_touch(cell.first_touch)
         .with_trace(cell.trace)
-        .with_windows(cell.windows)
-        .with_fused(cell.fused);
+        .with_windows(cell.windows);
     if let Some(spec) = &cell.topology {
         cfg = cfg.with_topology(Topology::synthetic(spec));
     }
@@ -1058,7 +1034,6 @@ fn cell_json(wname: &str, cell: &Cell, label: &str, runs: &[RunRecord], rounds: 
         "counters_requested": cell.counters,
         "segment_counters": cell.segment_counters,
         "adapt": cell.adapt,
-        "fused": cell.fused,
         "counter_stride": cell.counter_stride.max(1),
         "warmup_batches": cell.warmup.min(rounds.saturating_sub(1)),
         "warmup_mode": cell.warmup_mode.name(),
@@ -1465,9 +1440,6 @@ pub fn from_spec(v: &Value) -> Result<Sweep, Box<dyn Error>> {
         if let Some(b) = c["adapt"].as_bool() {
             cell = cell.with_adapt(b);
         }
-        if let Some(b) = c["fused"].as_bool() {
-            cell = cell.with_fused(b);
-        }
         if cell.adapt && cell.windows == 0 {
             return Err(format!(
                 "cell '{}' enables adapt without counter windows; set \"windows\" >= 1 \
@@ -1543,11 +1515,6 @@ mod tests {
                 .label(),
             "rr+adapt/w2"
         );
-        assert_eq!(Cell::serial().with_fused(true).label(), "serial+fused");
-        assert_eq!(
-            Cell::parallel(4, Placement::Llc).with_fused(true).label(),
-            "llc+fused/w4"
-        );
         assert_eq!(
             Cell::parallel(2, Placement::Llc).with_label("mine").label(),
             "mine"
@@ -1610,7 +1577,7 @@ mod tests {
                 {"engine": "serial", "counters": true},
                 {"workers": 2, "placement": "llc", "pin_cores": true,
                  "counters": true, "topology": "1x2x2"},
-                {"workers": 2, "placement": "rr", "fused": true}
+                {"workers": 2, "placement": "rr"}
               ],
               "comparisons": [
                 {"metric": "wall_ms", "baseline": "serial", "treatment": "llc+pin/w2/1x2x2"}
@@ -1627,8 +1594,7 @@ mod tests {
         assert_eq!(sweep.cells[0].engine, CellEngine::Serial);
         assert_eq!(sweep.cells[0].warmup, 1, "top-level warmup default");
         assert_eq!(sweep.cells[1].label(), "llc+pin/w2/1x2x2");
-        assert!(sweep.cells[2].fused);
-        assert_eq!(sweep.cells[2].label(), "rr+fused/w2");
+        assert_eq!(sweep.cells[2].label(), "rr/w2");
         assert_eq!(sweep.comparisons.len(), 1);
         // Unknown apps/placements/metrics are errors.
         let bad: Value =

@@ -46,8 +46,8 @@ pub const SCHEMA: &str = "ccs-bench/v1";
 /// shift within ±10% still reads "unchanged".
 pub const DEFAULT_TOLERANCE: f64 = 0.10;
 
-/// Wider band for timing-only fingerprints (no counters, wall-clock
-/// jitter dominates): ±25%.
+/// Wider band for every fingerprint without hardware events
+/// (`task-clock` or `timing-only`: wall-clock jitter dominates): ±25%.
 pub const TIMING_ONLY_TOLERANCE: f64 = 0.25;
 
 /// Where `ccs bench` appends by default:
@@ -66,19 +66,6 @@ pub fn canonical_sweep(
     rounds: u64,
     apps: &[String],
 ) -> Result<Sweep, Box<dyn Error>> {
-    canonical_sweep_fused(repeats, rounds, apps, false)
-}
-
-/// [`canonical_sweep`] with every cell routed through the fused hot
-/// path (`ccs bench --fused`). A distinct grid — and a distinct
-/// [`Fingerprint`] — so fused and classic histories never compare
-/// against each other.
-pub fn canonical_sweep_fused(
-    repeats: usize,
-    rounds: u64,
-    apps: &[String],
-    fused: bool,
-) -> Result<Sweep, Box<dyn Error>> {
     let mut workloads = Vec::new();
     for a in apps {
         workloads.push(sweep::workload(a).ok_or_else(|| format!("unknown workload '{a}'"))?);
@@ -91,23 +78,16 @@ pub fn canonical_sweep_fused(
         .with_repeats(repeats)
         .with_rounds(rounds)
         .with_workloads(workloads)
-        .with_cell(
-            Cell::serial()
-                .with_counters(true)
-                .with_warmup(warmup)
-                .with_fused(fused),
-        )
+        .with_cell(Cell::serial().with_counters(true).with_warmup(warmup))
         .with_cell(
             Cell::parallel(2, Placement::RoundRobin)
                 .with_counters(true)
-                .with_warmup(warmup)
-                .with_fused(fused),
+                .with_warmup(warmup),
         )
         .with_cell(
             Cell::parallel(2, Placement::Llc)
                 .with_counters(true)
-                .with_warmup(warmup)
-                .with_fused(fused),
+                .with_warmup(warmup),
         ))
 }
 
@@ -119,7 +99,9 @@ pub fn canonical_sweep_fused(
 pub struct Fingerprint {
     /// Topology shape, `source/NxCxK` (nodes × llc clusters × cores).
     pub topology: String,
-    /// `"pmu"` or `"timing-only"` (probe failed or `CCS_NO_PERF`).
+    /// What the counters could measure: `"pmu"`, `"task-clock"` (only
+    /// the software CPU clock opened), or `"timing-only"` (probe failed
+    /// or `CCS_NO_PERF`); see [`ccs_perf::counter_label`].
     pub counters: String,
     /// Warmup reset discipline of the grid's cells.
     pub warmup_mode: String,
@@ -129,9 +111,11 @@ pub struct Fingerprint {
     pub rounds: u64,
     /// `cell,cell,... x workload,workload,...`.
     pub grid: String,
-    /// Any cell ran the fused hot path. Absent in pre-fused records,
-    /// parsed as `false`, so old histories stay valid — and a fused
-    /// grid never compares against a classic baseline.
+    /// The parallel cells ran the fused batch path. Every record written
+    /// now says `true`; the key is absent (parsed as `false`) in records
+    /// from before the fused path existed and `false` in records of the
+    /// since-deleted classic path, so those histories stay readable but
+    /// never serve as the baseline of a fused grid.
     pub fused: bool,
 }
 
@@ -169,14 +153,14 @@ impl Fingerprint {
                     .collect::<Vec<_>>()
                     .join(","),
             ),
-            fused: sweep.cells.iter().any(|c| c.fused),
+            fused: true,
         }
     }
 
-    /// True when every counter reading degraded to wall clock — the
-    /// wider tolerance band applies.
-    pub fn timing_only(&self) -> bool {
-        self.counters == "timing-only"
+    /// True when hardware events were counted — only then does the
+    /// tight tolerance band apply.
+    pub fn pmu(&self) -> bool {
+        self.counters == "pmu"
     }
 
     /// The JSON block embedded in a record.
@@ -456,14 +440,14 @@ pub struct CompareCfg {
 }
 
 impl CompareCfg {
-    /// Defaults, with the tolerance band widened on timing-only
-    /// fingerprints.
+    /// Defaults, with the tolerance band widened on every fingerprint
+    /// without hardware events.
     pub fn for_fingerprint(fp: &Fingerprint) -> CompareCfg {
         CompareCfg {
-            tolerance: if fp.timing_only() {
-                TIMING_ONLY_TOLERANCE
-            } else {
+            tolerance: if fp.pmu() {
                 DEFAULT_TOLERANCE
+            } else {
+                TIMING_ONLY_TOLERANCE
             },
             bootstrap_iters: 1000,
             confidence: 0.9,
@@ -960,12 +944,12 @@ mod tests {
         let mut b = fp("pmu");
         b.counters = "timing-only".into();
         assert!(!a.matches(&b));
-        assert!(b.timing_only() && !a.timing_only());
+        assert!(a.pmu() && !b.pmu());
         let mut c = fp("pmu");
         c.rounds = 16;
         assert!(!a.matches(&c));
         // Fused grids are a distinct fingerprint; pre-fused records
-        // (no "fused" key) parse as unfused and still match classics.
+        // (no "fused" key) parse as unfused and match only each other.
         let mut d = fp("pmu");
         d.fused = true;
         assert!(!a.matches(&d));
@@ -984,6 +968,25 @@ mod tests {
             Fingerprint::from_json(&serde_json::json!({"topology": "x"})),
             None
         );
+    }
+
+    #[test]
+    fn only_a_pmu_fingerprint_gets_the_tight_band() {
+        let band = |label: &str| CompareCfg::for_fingerprint(&fp(label)).tolerance;
+        assert_eq!(band("pmu"), DEFAULT_TOLERANCE);
+        // A host where only the software task clock opens measures wall
+        // and CPU time, not cache events: the wide band applies.
+        assert_eq!(band("task-clock"), TIMING_ONLY_TOLERANCE);
+        assert_eq!(band("timing-only"), TIMING_ONLY_TOLERANCE);
+    }
+
+    #[test]
+    fn detected_fingerprints_are_fused() {
+        let sweep = canonical_sweep(2, 4, &["fm-radio".to_string()]).unwrap();
+        let fp = Fingerprint::detect(&sweep);
+        assert!(fp.fused);
+        assert_eq!(fp.grid, "serial,rr/w2,llc/w2 x fm-radio");
+        assert_eq!(fp.counters, ccs_perf::probe().label);
     }
 
     #[test]

@@ -50,7 +50,6 @@ const SWITCHES: &[&str] = &[
     "per-worker-warmup",
     "trace",
     "adapt",
-    "fused",
     "no-counters",
     "check",
     "history",
@@ -58,7 +57,9 @@ const SWITCHES: &[&str] = &[
 ];
 
 impl Args {
-    /// Parse raw arguments (excluding `argv[0]` and the subcommand).
+    /// Parse raw arguments (excluding `argv[0]` and the subcommand). A
+    /// flag whose value would be another `--flag` is an error, so an
+    /// unknown switch cannot silently swallow the next argument.
     pub fn parse<I: IntoIterator<Item = String>>(raw: I) -> Result<Args, ArgError> {
         let mut args = Args::default();
         let mut iter = raw.into_iter().peekable();
@@ -69,6 +70,7 @@ impl Args {
                 } else {
                     let value = iter
                         .next()
+                        .filter(|v| !v.starts_with("--"))
                         .ok_or_else(|| ArgError::MissingValue(name.to_string()))?;
                     args.flags.insert(name.to_string(), value);
                 }
@@ -153,6 +155,19 @@ mod tests {
     fn missing_value_is_error() {
         let err = Args::parse(vec!["--m".to_string()]).unwrap_err();
         assert_eq!(err, ArgError::MissingValue("m".into()));
+    }
+
+    #[test]
+    fn flag_value_that_is_a_flag_is_error() {
+        // An unknown (say, since-removed) switch is parsed as a flag; it
+        // must not swallow `--json` as its value.
+        let words = ["g.json", "--m", "64", "--old-switch", "--json"];
+        let err = Args::parse(words.iter().map(|s| s.to_string())).unwrap_err();
+        assert_eq!(err, ArgError::MissingValue("old-switch".into()));
+        // Negative numbers and plain words are still values.
+        let a = parse(&["--seed", "-3", "--name", "x"]);
+        assert_eq!(a.flag("seed"), Some("-3"));
+        assert_eq!(a.flag("name"), Some("x"));
     }
 
     #[test]

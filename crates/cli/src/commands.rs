@@ -12,8 +12,12 @@ use std::error::Error;
 
 type CliResult = Result<String, Box<dyn Error>>;
 
-/// Dispatch a subcommand; returns the text to print.
+/// Dispatch a subcommand; returns the text to print. `--help` after
+/// any subcommand prints the usage and runs nothing.
 pub fn run(cmd: &str, args: &Args) -> CliResult {
+    if args.has("help") {
+        return Ok(usage());
+    }
     match cmd {
         "gen" => gen(args),
         "analyze" => analyze(args),
@@ -59,7 +63,7 @@ USAGE:
                [--pin-cores] [--counters] [--warmup K] [--segment-counters]
                [--stride S] [--per-worker-warmup] [--first-touch]
                [--trace] [--windows W] [--trace-cap C] [--adapt]
-               [--fused] [--warn-residency R] [--strategy ...] [--json]
+               [--warn-residency R] [--strategy ...] [--json]
                (real multicore execution with segment-affine workers;
                 llc placement + pinning use the machine topology;
                 --counters samples hardware cache counters per worker,
@@ -73,10 +77,9 @@ USAGE:
                 closes a counter window every W batches; --adapt turns
                 on the online drift controller (needs --windows >= 1),
                 which migrates segments between workers mid-run while
-                the output digest stays bit-identical; --fused runs
-                batches through the fused hot path — bulk ring ops, a
-                flat per-segment arena, software prefetch — with the
-                digest again bit-identical (docs/HOTPATH.md);
+                the output digest stays bit-identical; every batch runs
+                the fused path — bulk ring ops, a flat per-segment
+                arena, software prefetch (docs/HOTPATH.md);
                 see docs/MEASUREMENT.md, docs/OBSERVABILITY.md, and
                 docs/ADAPTIVE.md)
   ccs trace FILE --m M [--b B] [--workers N] [--rounds R] [--serial]
@@ -99,7 +102,7 @@ USAGE:
   ccs sweep [--spec FILE | --apps A,B --workers N,M --placements rr,llc
              --pin on|off|both [--serial] [--counters] [--segment-counters]
              [--warmup K] [--stride S] [--first-touch] [--per-worker-warmup]
-             [--trace] [--windows W] [--adapt] [--fused] [--topo NxCxK]
+             [--trace] [--windows W] [--adapt] [--topo NxCxK]
              [--repeats R] [--rounds N] [--baseline LABEL]
              [--metrics m1,m2] [--name NAME] [--seed S] [--confidence C]
              [--warn-residency R]]
@@ -111,12 +114,12 @@ USAGE:
                 grid comes from a JSON spec file or from the flags;
                 --adapt doubles every parallel cell with an adaptive
                 twin (online segment migration; needs --windows >= 1);
-                --fused doubles every cell with a fused-hot-path twin,
-                so the digest assertion proves fused == classic;
+                --serial adds the serial oracle, so the digest
+                assertion proves the parallel cells match it;
                 -o saves the ccs-sweep/v1 document `ccs report` renders)
   ccs bench [--repeats R] [--rounds N] [--apps A,B] [--store FILE]
             [--baseline FILE] [--tolerance T] [--timestamp T]
-            [--check] [--no-append] [--fused] [--json] [-o FILE]
+            [--check] [--no-append] [--json] [-o FILE]
                (continuous performance tracking: run the canonical
                 sweep — serial, rr/w2, llc/w2 with counters on — append
                 a ccs-bench/v1 record to results/history/bench.ndjson
@@ -125,13 +128,12 @@ USAGE:
                 counter availability x warmup x grid): per-metric
                 paired bootstrap deltas under BH correction, classified
                 regressed / improved / unchanged within a relative
-                tolerance band (10% with a PMU, 25% timing-only;
+                tolerance band (10% with a PMU, 25% with only
+                task-clock or no counters;
                 --tolerance overrides); --baseline compares against a
                 specific history file, --check exits nonzero on any
-                regression (the CI perf gate); --fused tracks the same
-                grid through the fused hot path under its own
-                fingerprint, so fused and classic histories never mix;
-                see docs/BENCHMARKING.md)
+                regression (the CI perf gate); see
+                docs/BENCHMARKING.md)
   ccs topo [--topo NxCxK | --from DUMP] [--json]
                (print the discovered, synthetic, or replayed machine
                 topology plus perf-counter availability; the --json dump
@@ -433,8 +435,7 @@ fn run_dag(args: &Args) -> CliResult {
         .with_first_touch(args.has("first-touch"))
         .with_trace(args.has("trace"))
         .with_windows(args.u64_or("windows", 0)?)
-        .with_trace_capacity(args.u64_or("trace-cap", 0)? as usize)
-        .with_fused(args.has("fused"));
+        .with_trace_capacity(args.u64_or("trace-cap", 0)? as usize);
     if let Some(topo) = topo_of(args)? {
         cfg = cfg.with_topology(topo);
     }
@@ -536,7 +537,6 @@ fn run_dag(args: &Args) -> CliResult {
             "first_touch_rings": stats.first_touch_rings,
             "rings_touched": stats.rings_first_touched(),
             "adapt": adapt,
-            "fused": cfg.fused,
             "migrations": stats.total_migrations(),
             "trace_enabled": stats.trace_enabled,
             "trace_events": stats.trace_events(),
@@ -576,7 +576,7 @@ fn run_dag(args: &Args) -> CliResult {
     use std::fmt::Write as _;
     let _ = writeln!(
         out,
-        "strategy {} | placement {} | {} segments on {} workers{} | T = {}{}",
+        "strategy {} | placement {} | {} segments on {} workers{} | T = {}",
         pr.strategy_used,
         placement.name(),
         stats.segments,
@@ -587,7 +587,6 @@ fn run_dag(args: &Args) -> CliResult {
             String::new()
         },
         stats.t,
-        if cfg.fused { " | fused" } else { "" },
     );
     let _ = writeln!(
         out,
@@ -1082,19 +1081,13 @@ fn sweep_cmd(args: &Args) -> CliResult {
                 None => None,
             };
             if args.has("serial") {
-                let cell = Cell::serial()
-                    .with_counters(counters)
-                    .with_warmup(warmup)
-                    .with_trace(args.has("trace"))
-                    .with_windows(args.u64_or("windows", 0)?);
-                // `--fused` doubles the serial baseline too, so the
-                // digest assertion covers serial classic vs fused.
-                if args.has("fused") {
-                    s = s.with_cell(cell.clone());
-                    s = s.with_cell(cell.with_fused(true));
-                } else {
-                    s = s.with_cell(cell);
-                }
+                s = s.with_cell(
+                    Cell::serial()
+                        .with_counters(counters)
+                        .with_warmup(warmup)
+                        .with_trace(args.has("trace"))
+                        .with_windows(args.u64_or("windows", 0)?),
+                );
             }
             let pins: &[bool] = match args.flag("pin") {
                 None | Some("off") => &[false],
@@ -1126,25 +1119,16 @@ fn sweep_cmd(args: &Args) -> CliResult {
                             cell = cell.with_topology(t);
                         }
                         // `--adapt` doubles each parallel cell with an
-                        // adaptive twin and `--fused` with a fused
-                        // twin, so every point of the grid gets its own
-                        // pairing (both flags compose: four variants).
-                        let mut variants = vec![cell.clone()];
+                        // adaptive twin, so every point of the grid gets
+                        // its own pairing.
+                        s = s.with_cell(cell.clone());
                         if args.has("adapt") {
                             if args.u64_or("windows", 0)? == 0 {
                                 return Err("--adapt requires --windows >= 1 (the controller \
                                             is driven by the counter-window stream)"
                                     .into());
                             }
-                            variants.push(cell.with_adapt(true));
-                        }
-                        if args.has("fused") {
-                            for v in variants.clone() {
-                                variants.push(v.with_fused(true));
-                            }
-                        }
-                        for v in variants {
-                            s = s.with_cell(v);
+                            s = s.with_cell(cell.with_adapt(true));
                         }
                     }
                 }
@@ -1211,7 +1195,7 @@ fn bench_cmd(args: &Args) -> CliResult {
         .max(2) as usize;
     let rounds = args.u64_or("rounds", if smoke { 4 } else { 24 })?.max(1);
     let apps = csv(args, "apps", "fm-radio,layered-dag");
-    let sweep = track::canonical_sweep_fused(repeats, rounds, &apps, args.has("fused"))?;
+    let sweep = track::canonical_sweep(repeats, rounds, &apps)?;
     let fp = track::Fingerprint::detect(&sweep);
     let timestamp = match args.flag("timestamp") {
         Some(t) => t
@@ -1593,64 +1577,52 @@ mod tests {
     }
 
     #[test]
-    fn run_dag_fused_keeps_the_digest() {
+    fn run_dag_matches_the_serial_oracle() {
         let path = tmp("g7f.json");
         run(
             "gen",
             &args(&["pipeline", "--len", "10", "--state", "64", "-o", &path]),
         )
         .unwrap();
-        let base = [&path, "--m", "1024", "--workers", "2", "--rounds", "3"];
-        let mut plain: Vec<&str> = base.to_vec();
-        plain.push("--json");
-        let classic: serde_json::Value =
-            serde_json::from_str(&run("run-dag", &args(&plain)).unwrap()).unwrap();
-        assert_eq!(classic["fused"].as_bool(), Some(false));
-        let mut fused_args: Vec<&str> = base.to_vec();
-        fused_args.extend(["--fused", "--json"]);
-        let fused: serde_json::Value =
-            serde_json::from_str(&run("run-dag", &args(&fused_args)).unwrap()).unwrap();
-        assert_eq!(fused["fused"].as_bool(), Some(true));
-        assert_eq!(fused["digest"], classic["digest"]);
-        assert_eq!(fused["sink_items"], classic["sink_items"]);
-        // Text mode marks the hot path so smoke greps can see it.
-        let mut text: Vec<&str> = base.to_vec();
-        text.push("--fused");
-        assert!(run("run-dag", &args(&text)).unwrap().contains("| fused"));
+        let base = [
+            &path,
+            "--m",
+            "1024",
+            "--workers",
+            "2",
+            "--rounds",
+            "3",
+            "--json",
+        ];
+        let out: serde_json::Value =
+            serde_json::from_str(&run("run-dag", &args(&base)).unwrap()).unwrap();
+        // The same plan, three rounds, through the naive serial oracle.
+        let g = load(&path).unwrap();
+        let plan = Planner::new(CacheParams::new(1024, 16))
+            .plan(&g, Horizon::Rounds(3))
+            .unwrap();
+        let mut inst = ccs_runtime::Instance::synthetic(g);
+        let oracle = ccs_runtime::serial::execute(&mut inst, &plan.run);
+        let want = format!("{:016x}", oracle.digest.expect("sink digest"));
+        assert_eq!(out["digest"].as_str(), Some(want.as_str()));
+        assert_eq!(out["sink_items"].as_u64(), Some(oracle.sink_items));
         std::fs::remove_file(path).ok();
     }
 
     #[test]
-    fn sweep_fused_doubles_the_grid() {
-        let out = run(
-            "sweep",
-            &args(&[
-                "--apps",
-                "fm-radio",
-                "--workers",
-                "2",
-                "--placements",
-                "rr",
-                "--serial",
-                "--fused",
-                "--repeats",
-                "2",
-                "--rounds",
-                "2",
-                "--json",
-            ]),
-        )
-        .unwrap();
-        let doc: serde_json::Value = serde_json::from_str(&out).unwrap();
-        let labels: Vec<&str> = match &doc["cells"] {
-            serde_json::Value::Array(cs) => cs.iter().filter_map(|c| c["label"].as_str()).collect(),
-            other => panic!("cells is not an array: {other:?}"),
-        };
-        for want in ["serial", "serial+fused", "rr/w2", "rr+fused/w2"] {
-            assert!(labels.contains(&want), "missing {want} in {labels:?}");
+    fn help_after_a_subcommand_runs_nothing() {
+        // A missing graph file or an unwritable -o path would fail if
+        // the subcommand ran; --help must short-circuit before either.
+        let out_path = tmp("never-written.json");
+        for cmd in ["sweep", "run-dag", "bench"] {
+            let out = run(
+                cmd,
+                &args(&["no-such-graph.json", "--m", "64", "-o", &out_path, "--help"]),
+            )
+            .unwrap();
+            assert!(out.contains("USAGE"), "{cmd}: {out}");
         }
-        // The run completing at all proves the digest assertion held
-        // across every classic/fused twin.
+        assert!(!std::path::Path::new(&out_path).exists());
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! # ccs-exec — cache-aware multicore DAG executor
 //!
-//! Where `ccs-runtime::parallel_pipeline` runs *chains* on worker threads
-//! and `ccs-runtime::parallel` runs *homogeneous* graphs, this crate runs
-//! an arbitrary well-ordered c-bounded [`ccs_partition::Partition`] of a
-//! general streaming dag on real threads:
+//! Where `ccs-runtime::serial` replays one flat firing sequence as the
+//! naive oracle, this crate runs an arbitrary well-ordered c-bounded
+//! [`ccs_partition::Partition`] of a general streaming dag on real
+//! threads:
 //!
 //! * **Segment affinity.** Every segment (partition component) is
 //!   pinned to exactly one worker thread for the whole run, so a
@@ -63,15 +63,16 @@
 //!   the static placement went stale ([`run::Migration`] scripts the
 //!   same handoff deterministically for the equivalence proofs;
 //!   protocol in `docs/ADAPTIVE.md`).
-//! * **Fused hot path.** With [`run::RunConfig::fused`], each batch
-//!   runs through a precompiled [`ccs_partition::FiringPlan`]: cross
+//! * **One batch executor (the fused path).** Every batch runs through
+//!   the segment's precompiled [`ccs_partition::FiringPlan`]: cross
 //!   inputs bulk-loaded into a flat per-segment arena (one
 //!   `peek`/`release` per ring per batch), firings executing against
 //!   arena spans derived from per-port cursors with a software prefetch
 //!   on the next firing's inputs, cross outputs bulk-stored (one
-//!   `reserve`/`commit` per ring per batch). Internal edges never touch a ring.
-//!   [`serial_fused::execute_serial_fused`] is the one-thread analogue;
-//!   layout and measured deltas in `docs/HOTPATH.md`.
+//!   `reserve`/`commit` per ring per batch). Internal edges never touch
+//!   a ring; their rings are one-slot placeholders.
+//!   [`serial_fused::execute_serial_fused`] runs the same batch body on
+//!   one thread; layout and measured deltas in `docs/HOTPATH.md`.
 //! * **Determinism.** Synchronous dataflow is schedule-deterministic, so
 //!   the sink digest is bit-identical to the serial executor's for the
 //!   same number of batches, at every worker count, placement, and

@@ -138,6 +138,8 @@ pub struct ExecPlan {
     pub segments: Vec<SegmentPlan>,
     /// Ring capacity per edge: `2·T·gain(e)` for cross edges
     /// (double-buffered), the dry-run highwater for internal edges.
+    /// The executor sizes only cross rings from this; internal streams
+    /// live in the segment arenas.
     pub capacities: Vec<u64>,
     /// Segment index (position in `segments`) of each node.
     pub seg_of_node: Vec<usize>,
@@ -212,7 +214,7 @@ impl ExecPlan {
         // highwater. Cross inputs are full (upstream segments ran
         // earlier in the round), so the recorded sequence is legal at
         // runtime whenever the gating rule admits the batch. Each
-        // sequence is compiled for the fused hot path at once, so only
+        // sequence is compiled into its `FiringPlan` at once, so only
         // one segment's `NodeId` sequence is ever alive; since the dry
         // run proved it legal, a compile failure can only be
         // arena-arithmetic overflow.

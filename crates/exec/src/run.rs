@@ -1,6 +1,6 @@
 //! The segment-affine worker loop.
 //!
-//! Each worker owns a fixed set of segments (kernels, scratch, and — by
+//! Each worker owns a fixed set of segments (kernels, arenas, and — by
 //! the SPSC discipline — the relevant ring endpoints). A worker cycles
 //! over its segments; whenever the half-full/half-empty gate admits a
 //! segment that still owes batches, the worker executes one full batch
@@ -173,17 +173,6 @@ pub struct RunConfig {
     /// migration-equivalence proofs. Runs fine alongside
     /// [`RunConfig::adapt`] (the forced hops just happen on schedule).
     pub forced_migrations: Vec<Migration>,
-    /// Fused-firing hot path: execute each batch through the segment's
-    /// precompiled [`ccs_partition::FiringPlan`] — cross inputs
-    /// bulk-loaded into a flat per-segment arena, firings running
-    /// against arena spans from per-port cursors (with a software
-    /// prefetch on the next firing's inputs), cross outputs
-    /// bulk-stored — so internal edges never touch a ring and boundary
-    /// rings see one reserve/commit (peek/release) per batch instead of
-    /// one per firing. Same firings in the same order as the classic path: the
-    /// sink digest is bit-identical. The arena rides inside the
-    /// segment's task, so migration and adaptation work unchanged.
-    pub fused: bool,
 }
 
 impl RunConfig {
@@ -264,8 +253,10 @@ impl RunConfig {
         self
     }
 
-    pub fn with_fused(mut self, fused: bool) -> RunConfig {
-        self.fused = fused;
+    /// Every batch runs the fused path, so this only accepts `true`.
+    /// Kept for callers written when the classic path still existed.
+    pub fn with_fused(self, fused: bool) -> RunConfig {
+        assert!(fused, "the fused batch path is the only batch executor");
         self
     }
 }
@@ -338,10 +329,10 @@ impl Rendezvous {
     }
 }
 
-/// One segment's runtime state: kernels and pre-sized scratch, owned
+/// One segment's runtime state: kernels and its batch arena, owned
 /// exclusively by exactly one worker thread at any instant. Statically
 /// that worker is fixed for the whole run; under migration the task —
-/// kernels, scratch, counter attribution, and (by the SPSC discipline)
+/// kernels, arena, counter attribution, and (by the SPSC discipline)
 /// the segment's ring endpoints — moves whole between workers through a
 /// mutex-protected inbox, so the releasing worker's last batch
 /// happens-before the receiving worker's first.
@@ -351,14 +342,10 @@ struct SegTask {
     done: u64,
     /// Kernels, parallel to `plan.segments[seg].nodes`.
     kernels: Vec<Box<dyn Kernel>>,
-    /// Scratch per local node per port, sized to the rates.
-    in_scratch: Vec<Vec<Vec<f32>>>,
-    out_scratch: Vec<Vec<Vec<f32>>>,
-    /// Fused-path scratch arena ([`ccs_partition::FiringPlan`] layout);
-    /// empty on the classic path. Owned by the task, so it migrates
-    /// with the segment like any other per-segment state — and since a
-    /// full batch drains every internal stream, it carries no data
-    /// across batch (and so migration) boundaries.
+    /// Batch arena ([`ccs_partition::FiringPlan`] layout). Owned by the
+    /// task, so it migrates with the segment like any other per-segment
+    /// state — and since a full batch drains every internal stream, it
+    /// carries no data across batch (and so migration) boundaries.
     arena: Vec<f32>,
     /// Scripted hops still owed, sorted by boundary; the head is due
     /// once `done` reaches its `after_batches`.
@@ -535,24 +522,7 @@ pub fn execute_dag_cfg(
         vec![None; workers]
     };
 
-    // Rings sized by the plan: cross edges double-buffered, internal
-    // edges at their dry-run highwater. On the fused path internal
-    // streams live in the segment arenas and their rings are never
-    // touched, so they shrink to one-slot placeholders (keeping edge
-    // indexing uniform without the memory).
-    let rings: Vec<SpscRing> = g
-        .edge_ids()
-        .map(|e| {
-            let edge = g.edge(e);
-            let internal = plan.seg_of_node[edge.src.idx()] == plan.seg_of_node[edge.dst.idx()];
-            let cap = if cfg.fused && internal {
-                1
-            } else {
-                usize::try_from(plan.capacities[e.idx()].max(1)).expect("ring fits")
-            };
-            SpscRing::new(cap)
-        })
-        .collect();
+    let rings = batch_rings(&plan, g);
 
     // Move kernels out of the instance into per-segment tasks.
     let mut kernel_slots: Vec<Option<Box<dyn Kernel>>> =
@@ -567,39 +537,7 @@ pub fn execute_dag_cfg(
                 .iter()
                 .map(|&v| kernel_slots[v.idx()].take().expect("each node once"))
                 .collect();
-            // Exactly one batch workspace per path: per-port scratch on
-            // the classic path, the flat arena on the fused one.
-            let in_scratch: Vec<Vec<Vec<f32>>> = if cfg.fused {
-                Vec::new()
-            } else {
-                seg.nodes
-                    .iter()
-                    .map(|&v| {
-                        g.in_edges(v)
-                            .iter()
-                            .map(|&e| vec![0.0f32; g.edge(e).consume as usize])
-                            .collect()
-                    })
-                    .collect()
-            };
-            let out_scratch: Vec<Vec<Vec<f32>>> = if cfg.fused {
-                Vec::new()
-            } else {
-                seg.nodes
-                    .iter()
-                    .map(|&v| {
-                        g.out_edges(v)
-                            .iter()
-                            .map(|&e| vec![0.0f32; g.edge(e).produce as usize])
-                            .collect()
-                    })
-                    .collect()
-            };
-            let arena = if cfg.fused {
-                vec![0.0f32; plan.fused[si].arena_len]
-            } else {
-                Vec::new()
-            };
+            let arena = vec![0.0f32; plan.fused[si].arena_len];
             let mut pending: Vec<Migration> = cfg
                 .forced_migrations
                 .iter()
@@ -611,8 +549,6 @@ pub fn execute_dag_cfg(
                 seg: si,
                 done: 0,
                 kernels,
-                in_scratch,
-                out_scratch,
                 arena,
                 pending,
                 acc: SegmentCounters {
@@ -687,7 +623,6 @@ pub fn execute_dag_cfg(
         (0..workers).map(|_| Vec::new()).collect()
     };
     let first_touch = cfg.first_touch_rings;
-    let fused = cfg.fused;
     let obs = ObsPlan {
         trace: cfg.trace,
         capacity: cfg.trace_capacity,
@@ -716,7 +651,6 @@ pub fn execute_dag_cfg(
                     adapt: adapt_ref,
                     tasks: my_tasks,
                     rounds,
-                    fused,
                 })
             }));
         }
@@ -852,8 +786,6 @@ struct WorkerCtx<'a> {
     adapt: Option<&'a AdaptRt>,
     tasks: Vec<SegTask>,
     rounds: u64,
-    /// Run batches through [`run_fused_batch`] instead of [`run_batch`].
-    fused: bool,
 }
 
 fn worker_loop(ctx: WorkerCtx<'_>) -> (Vec<SegTask>, WorkerStats) {
@@ -871,7 +803,6 @@ fn worker_loop(ctx: WorkerCtx<'_>) -> (Vec<SegTask>, WorkerStats) {
         adapt,
         mut tasks,
         rounds,
-        fused,
     } = ctx;
     // The fused loop's port cursors: written every firing, so they live
     // in memory this thread allocates and owns, never next to another
@@ -1070,11 +1001,12 @@ fn worker_loop(ctx: WorkerCtx<'_>) -> (Vec<SegTask>, WorkerStats) {
                 && (task.done - cplan.warmup).is_multiple_of(cplan.stride);
             let before = if window { counter_set.sample() } else { None };
             let t0 = Instant::now();
-            if fused {
-                run_fused_batch(plan, rings, task, &mut cursors, &mut stats.firings);
-            } else {
-                run_batch(g, plan, rings, task, &mut stats.firings);
-            }
+            let fp = &plan.fused[task.seg];
+            let SegTask { arena, kernels, .. } = &mut *task;
+            run_arena_batch(fp, rings, arena, &mut cursors, |local, ins, outs| {
+                kernels[local].fire(ins, outs);
+            });
+            stats.firings += fp.order().len() as u64;
             let dur = t0.elapsed();
             stats.busy += dur;
             tracer.record(
@@ -1222,7 +1154,7 @@ fn worker_loop(ctx: WorkerCtx<'_>) -> (Vec<SegTask>, WorkerStats) {
 /// Release `tasks[ti]` to worker `to`: record the migration (an instant
 /// on the releasing worker's timeline, at the batch boundary where the
 /// segment was quiesced), count it, and push the task — kernels,
-/// scratch, counter attribution and all — through the target's mutex
+/// arena, counter attribution and all — through the target's mutex
 /// inbox. The lock is the happens-before edge that makes the segment's
 /// SPSC ring endpoints safe to drive from the receiving thread; the
 /// receiving worker is already pinned to its own planned core, so under
@@ -1320,14 +1252,9 @@ const FUSED_MAX_PORTS: usize = 8;
 /// reset to the table here, each cursor's `base` then advances by its
 /// `rate` after every firing of its member, so the k-th firing sits at
 /// `base + k·rate`. The caller keeps the buffer across batches, so its
-/// capacity is allocated once. Shared by the parallel ([`run_fused_batch`]) and
-/// serial (`serial_fused`) hot paths.
-pub(crate) fn fire_arena_plan<F>(
-    fp: &FiringPlan,
-    arena: &mut [f32],
-    cursors: &mut Vec<PortSpan>,
-    mut fire: F,
-) where
+/// capacity is allocated once.
+fn fire_arena_plan<F>(fp: &FiringPlan, arena: &mut [f32], cursors: &mut Vec<PortSpan>, mut fire: F)
+where
     F: FnMut(usize, &[&[f32]], &mut [&mut [f32]]),
 {
     assert!(arena.len() >= fp.arena_len);
@@ -1416,23 +1343,21 @@ pub(crate) fn fire_arena_plan<F>(
     }
 }
 
-/// Execute one batch through the fused hot path: bulk-load every cross
-/// input ring into the segment arena (one `peek`/`release` per edge),
-/// run the precompiled firing sequence against arena spans with a
-/// software prefetch on the next firing's inputs, then bulk-store the
-/// cross outputs (one `reserve`/`commit` per edge). Internal edges
-/// never touch a ring. The firings — and their order — are exactly
-/// [`run_batch`]'s, so the sink digest is bit-identical by SDF
-/// determinism.
-fn run_fused_batch(
-    plan: &ExecPlan,
+/// Execute one batch of a segment: bulk-load every cross input ring
+/// into the segment arena (one `peek`/`release` per edge), run the
+/// compiled firing sequence through [`fire_arena_plan`], then
+/// bulk-store the cross outputs (one `reserve`/`commit` per edge).
+/// Internal edges never touch a ring. The one batch protocol of both
+/// the worker loop and [`crate::serial_fused`].
+pub(crate) fn run_arena_batch<F>(
+    fp: &FiringPlan,
     rings: &[SpscRing],
-    task: &mut SegTask,
+    arena: &mut [f32],
     cursors: &mut Vec<PortSpan>,
-    firings: &mut u64,
-) {
-    let fp = &plan.fused[task.seg];
-    let SegTask { arena, kernels, .. } = task;
+    fire: F,
+) where
+    F: FnMut(usize, &[&[f32]], &mut [&mut [f32]]),
+{
     for io in &fp.loads {
         let r = &rings[io.edge.idx()];
         let (a, b) = r.peek(io.items);
@@ -1440,9 +1365,7 @@ fn run_fused_batch(
         arena[io.offset + a.len()..io.offset + io.items].copy_from_slice(b);
         r.release(io.items);
     }
-    fire_arena_plan(fp, arena, cursors, |local, ins, outs| {
-        kernels[local].fire(ins, outs);
-    });
+    fire_arena_plan(fp, arena, cursors, fire);
     for io in &fp.stores {
         let r = &rings[io.edge.idx()];
         let (a, b) = r.reserve(io.items);
@@ -1451,32 +1374,24 @@ fn run_fused_batch(
         b.copy_from_slice(&arena[io.offset + n..io.offset + io.items]);
         r.commit(io.items);
     }
-    *firings += fp.order().len() as u64;
 }
 
-/// Execute one batch: the segment's local schedule, once.
-fn run_batch(
-    g: &ccs_graph::StreamGraph,
-    plan: &ExecPlan,
-    rings: &[SpscRing],
-    task: &mut SegTask,
-    firings: &mut u64,
-) {
-    let seg = &plan.segments[task.seg];
-    let order = plan.fused[task.seg].order();
-    for &i in order {
-        let (i, v) = (i as usize, seg.nodes[i as usize]);
-        let vin = &mut task.in_scratch[i];
-        for (j, &e) in g.in_edges(v).iter().enumerate() {
-            rings[e.idx()].pop_slice(&mut vin[j]);
-        }
-        let vout = &mut task.out_scratch[i];
-        ccs_runtime::kernel::fire_ports(task.kernels[i].as_mut(), vin, vout);
-        for (j, &e) in g.out_edges(v).iter().enumerate() {
-            rings[e.idx()].push_slice(&vout[j]);
-        }
-    }
-    *firings += order.len() as u64;
+/// One ring per edge, indexed by edge id: cross edges at their plan
+/// capacity (double-buffered batches), internal edges as one-slot
+/// placeholders — their streams live in the segment arenas.
+pub(crate) fn batch_rings(plan: &ExecPlan, g: &ccs_graph::StreamGraph) -> Vec<SpscRing> {
+    g.edge_ids()
+        .map(|e| {
+            let edge = g.edge(e);
+            let internal = plan.seg_of_node[edge.src.idx()] == plan.seg_of_node[edge.dst.idx()];
+            let cap = if internal {
+                1
+            } else {
+                usize::try_from(plan.capacities[e.idx()].max(1)).expect("ring fits")
+            };
+            SpscRing::new(cap)
+        })
+        .collect()
 }
 
 #[cfg(test)]

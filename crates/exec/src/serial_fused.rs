@@ -1,36 +1,35 @@
-//! The serial fused executor: the fused-firing hot path on one thread.
+//! The serial fused executor: the batch executor on one thread.
 //!
-//! Runs the same two-level schedule as the classic serial executor —
-//! segments in contracted topological order, one granularity-`T` batch
-//! each per round — but each batch goes through the segment's
-//! precompiled [`ccs_partition::FiringPlan`]: cross inputs bulk-copied
-//! into a flat arena, firings running against arena spans derived from
-//! per-port cursors (with the same software prefetch as the parallel
-//! fused path), cross outputs bulk-copied out. Internal edges never
-//! touch a ring, so the per-firing ring bookkeeping of
-//! `ccs_runtime::serial` disappears from the hot loop.
+//! Runs the same two-level schedule as the serial oracle
+//! (`ccs_runtime::serial`) — segments in contracted topological order,
+//! one granularity-`T` batch each per round — but each batch goes
+//! through the same batch protocol as the worker loop: cross inputs
+//! bulk-copied into the segment's arena, the precompiled
+//! [`ccs_partition::FiringPlan`] fired against it, cross outputs
+//! bulk-copied out. Internal edges never touch a ring, so the
+//! per-firing ring bookkeeping of the oracle disappears from the hot
+//! loop.
 //!
 //! Observability mirrors [`ccs_runtime::serial::execute_obs`]'s
 //! [`ObsConfig`] semantics at batch granularity: the warmup reset and
 //! `SerialBlock` spans land on the first batch boundary at or past the
 //! configured firing counts (exact for the round-aligned windows the
 //! sweep engine uses), and counter windows tick once per firing so
-//! window indices line up with the classic serial run.
+//! window indices line up with the oracle's.
 
 use crate::plan::{DagExecError, ExecPlan};
-use crate::run::fire_arena_plan;
+use crate::run::{batch_rings, run_arena_batch};
 use ccs_graph::RateAnalysis;
 use ccs_obs::{Clock, EventKind, Tracer, WindowSampler};
 use ccs_partition::{Partition, PortSpan};
 use ccs_runtime::instance::Instance;
-use ccs_runtime::ring::Ring;
 use ccs_runtime::serial::{ObsConfig, RunStats, SerialObs};
 use std::time::Instant;
 
 /// Execute `rounds` granularity-`T` rounds of the partitioned schedule
-/// on the calling thread through the fused hot path. Fires node `v`
+/// on the calling thread through the batch executor. Fires node `v`
 /// exactly `rounds·T·gain(v)` times — the same firings, in the same
-/// order, as the classic two-level serial schedule — so the sink digest
+/// order, as the two-level serial schedule — so the sink digest
 /// is bit-identical to `ccs_runtime::serial::execute` on
 /// `ccs_sched::partitioned::inhomogeneous` and to
 /// [`crate::run::execute_dag_cfg`] at any worker count.
@@ -45,21 +44,7 @@ pub fn execute_serial_fused(
     let plan = ExecPlan::build(&inst.graph, ra, p, m_items)?;
     let g = &inst.graph;
 
-    // Cross rings at plan capacity; internal edges live in the arenas
-    // and keep one-slot placeholders for uniform indexing.
-    let mut rings: Vec<Ring> = g
-        .edge_ids()
-        .map(|e| {
-            let edge = g.edge(e);
-            let internal = plan.seg_of_node[edge.src.idx()] == plan.seg_of_node[edge.dst.idx()];
-            let cap = if internal {
-                1
-            } else {
-                usize::try_from(plan.capacities[e.idx()].max(1)).expect("ring fits")
-            };
-            Ring::new(cap)
-        })
-        .collect();
+    let rings = batch_rings(&plan, g);
     let mut arenas: Vec<Vec<f32>> = plan
         .fused
         .iter()
@@ -81,7 +66,7 @@ pub fn execute_serial_fused(
     };
     let total_firings = rounds * plan.firings_per_round();
     // A warmup that would leave no measured window is ignored, exactly
-    // as in the classic serial executor.
+    // as in the serial oracle.
     let warmup = if cfg.warmup_firings < total_firings {
         cfg.warmup_firings
     } else {
@@ -108,7 +93,7 @@ pub fn execute_serial_fused(
     for _ in 0..rounds {
         for si in 0..plan.segments.len() {
             if !warmed && fired >= warmup {
-                // Same flush/reset/rebaseline protocol as the classic
+                // Same flush/reset/rebaseline protocol as the other
                 // executors: never reset under an open window baseline.
                 wins.flush(clock.now_ns(), || counter_set.sample());
                 counter_set.reset();
@@ -119,30 +104,20 @@ pub fn execute_serial_fused(
                 warmed = true;
             }
             let fp = &plan.fused[si];
-            let arena = &mut arenas[si];
-            for io in &fp.loads {
-                let r = &mut rings[io.edge.idx()];
-                let (a, b) = r.peek(io.items);
-                arena[io.offset..io.offset + a.len()].copy_from_slice(a);
-                arena[io.offset + a.len()..io.offset + io.items].copy_from_slice(b);
-                r.release(io.items);
-            }
-            fire_arena_plan(fp, arena, &mut cursors, |local, ins, outs| {
-                inst.kernels[kidx[si][local]].fire(ins, outs);
-            });
-            for io in &fp.stores {
-                let r = &mut rings[io.edge.idx()];
-                let (a, b) = r.reserve(io.items);
-                let n = a.len();
-                a.copy_from_slice(&arena[io.offset..io.offset + n]);
-                b.copy_from_slice(&arena[io.offset + n..io.offset + io.items]);
-                r.commit(io.items);
-            }
+            run_arena_batch(
+                fp,
+                &rings,
+                &mut arenas[si],
+                &mut cursors,
+                |local, ins, outs| {
+                    inst.kernels[kidx[si][local]].fire(ins, outs);
+                },
+            );
             let batch_firings = fp.order().len() as u64;
             fired += batch_firings;
             if wins.enabled() {
                 // One tick per firing keeps window indices (and the
-                // partial-final window) aligned with the classic run.
+                // partial-final window) aligned with the oracle's run.
                 for _ in 0..batch_firings {
                     if let Some(index) = wins.on_batch(clock.now_ns(), || counter_set.sample()) {
                         tracer.record(clock.now_ns(), 0, EventKind::Window { index });
@@ -203,7 +178,7 @@ mod tests {
     use ccs_partition::dag_greedy;
     use ccs_sched::partitioned;
 
-    fn classic(
+    fn oracle(
         g: &ccs_graph::StreamGraph,
         ra: &RateAnalysis,
         p: &Partition,
@@ -216,7 +191,7 @@ mod tests {
     }
 
     #[test]
-    fn fused_serial_matches_classic_serial() {
+    fn fused_serial_matches_the_oracle() {
         let cfg = LayeredCfg {
             layers: 4,
             max_width: 3,
@@ -228,7 +203,7 @@ mod tests {
             let g = gen::layered(&cfg, seed);
             let ra = RateAnalysis::analyze_single_io(&g).unwrap();
             let p = dag_greedy::greedy_topo(&g, 96);
-            let want = classic(&g, &ra, &p, 48, 3);
+            let want = oracle(&g, &ra, &p, 48, 3);
             let inst = Instance::synthetic(g.clone());
             let (got, _) =
                 execute_serial_fused(inst, &ra, &p, 48, 3, &ObsConfig::default()).unwrap();
@@ -250,7 +225,7 @@ mod tests {
             let g = gen::pipeline(&cfg, seed);
             let ra = RateAnalysis::analyze_single_io(&g).unwrap();
             let pp = ccs_partition::pipeline::greedy_theorem5(&g, &ra, 48).unwrap();
-            let want = classic(&g, &ra, &pp.partition, 48, 2);
+            let want = oracle(&g, &ra, &pp.partition, 48, 2);
             let inst = Instance::synthetic(g.clone());
             let (got, _) =
                 execute_serial_fused(inst, &ra, &pp.partition, 48, 2, &ObsConfig::default())
@@ -265,7 +240,7 @@ mod tests {
         let ra = RateAnalysis::analyze_single_io(&g).unwrap();
         let p = dag_greedy::greedy_topo(&g, 64);
         let rounds = 4u64;
-        let want = classic(&g, &ra, &p, 16, rounds);
+        let want = oracle(&g, &ra, &p, 16, rounds);
         let fpr = {
             let plan = ExecPlan::build(&g, &ra, &p, 16).unwrap();
             plan.firings_per_round()

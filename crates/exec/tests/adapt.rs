@@ -93,53 +93,6 @@ fn phase_shift_adaptive_matches_serial_and_migrates() {
     }
 }
 
-/// The same perturbation harness through the fused hot path: the
-/// arena-and-bulk-ring batches must survive live migrations exactly
-/// like classic batches do — the arena rides inside the segment task,
-/// so a handoff moves it wholesale and the digest cannot move.
-#[test]
-fn phase_shift_adaptive_fused_matches_serial_and_migrates() {
-    let g = ccs_apps::phase_shift();
-    let ra = RateAnalysis::analyze_single_io(&g).unwrap();
-    let p = singleton_partition(&g);
-    let m = 8;
-    let rounds = 48;
-    let t = partitioned::granularity_t(&g, &ra, m).unwrap();
-    let step_at = t * 16;
-    let mult = 32;
-    let want = serial_digest(
-        &g,
-        &ra,
-        &p,
-        m,
-        rounds,
-        ccs_apps::phase_shift_instance(g.clone(), step_at, mult),
-    );
-    for mode in [WarmupMode::Epoch, WarmupMode::PerWorker] {
-        for workers in [1usize, 2, 4] {
-            let cfg = RunConfig::new(workers)
-                .with_windows(2)
-                .with_warmup(4)
-                .with_warmup_mode(mode)
-                .with_adapt(AdaptConfig::default())
-                .with_fused(true);
-            let inst = ccs_apps::phase_shift_instance(g.clone(), step_at, mult);
-            let stats = execute_dag_cfg(inst, &ra, &p, m, rounds, &cfg)
-                .unwrap_or_else(|e| panic!("fused {mode:?} x{workers}: {e}"));
-            assert_eq!(
-                stats.run.digest, want,
-                "fused digest diverged under adaptation: {mode:?} x{workers}"
-            );
-            if workers >= 2 {
-                assert!(
-                    stats.total_migrations() >= 1,
-                    "fused run: perturbation went unanswered: {mode:?} x{workers}"
-                );
-            }
-        }
-    }
-}
-
 /// Adaptation enabled on a drift-free app is harmless: fm-radio has no
 /// perturbation, so whatever the controller does (usually nothing, on
 /// a noisy machine possibly something) the digest must not move.
@@ -256,57 +209,6 @@ fn scripted_hops_are_exact_and_digest_preserving() {
             w.segments
         );
     }
-}
-
-/// Scripted hops through the fused hot path: the exact same script as
-/// above must land the exact same three migrations with the digest and
-/// batch accounting intact — the fused batch loop hits the same
-/// migration boundaries as the classic one.
-#[test]
-fn scripted_hops_through_the_fused_path_are_exact() {
-    let (g, ra, p) = pipeline8();
-    let rounds = 8;
-    let want = serial_digest(&g, &ra, &p, 8, rounds, Instance::synthetic(g.clone()));
-    let hops = vec![
-        Migration {
-            seg: 0,
-            to_worker: 1,
-            after_batches: 2,
-        },
-        Migration {
-            seg: 0,
-            to_worker: 0,
-            after_batches: 5,
-        },
-        Migration {
-            seg: 3,
-            to_worker: 0,
-            after_batches: 1,
-        },
-        // Self-hop and past-the-end hop: still silent no-ops when fused.
-        Migration {
-            seg: 1,
-            to_worker: 1,
-            after_batches: 3,
-        },
-        Migration {
-            seg: 2,
-            to_worker: 1,
-            after_batches: rounds,
-        },
-    ];
-    let cfg = RunConfig::new(2)
-        .with_forced_migrations(hops)
-        .with_fused(true);
-    let inst = Instance::synthetic(g.clone());
-    let stats = execute_dag_cfg(inst, &ra, &p, 8, rounds, &cfg).unwrap();
-    assert_eq!(
-        stats.run.digest, want,
-        "scripted fused hops changed the digest"
-    );
-    assert_eq!(stats.total_migrations(), 3, "{:?}", stats.workers);
-    let batches: u64 = stats.workers.iter().map(|w| w.batches).sum();
-    assert_eq!(batches, rounds * g.node_count() as u64);
 }
 
 /// The warmup equality corner: a hop *at* the warmup boundary is legal

@@ -1,31 +1,23 @@
-//! Fused hot-path digest equivalence: fusion changes how a batch
-//! executes — bulk ring ops, a flat per-segment arena, software
+//! Batch-executor digest equivalence: the fused batch path changes how
+//! a batch executes — bulk ring ops, a flat per-segment arena, software
 //! prefetch — never what it computes. For every app, partitioner,
-//! worker count, and warmup mode, the fused digest must be
-//! bit-identical to the classic serial executor's; the serial fused
-//! executor must agree too. This is the same contract equivalence.rs
-//! enforces for the classic parallel path, extended to the fused one.
+//! worker count, and warmup mode, the digest must be bit-identical to
+//! the serial oracle's; the serial fused executor must agree too.
 
 use ccs_exec::{execute_dag_cfg, execute_serial_fused, RunConfig, WarmupMode};
 use ccs_graph::{RateAnalysis, StreamGraph};
 use ccs_partition::{dag_greedy, multilevel, Partition};
-use ccs_runtime::serial::ObsConfig;
+use ccs_runtime::serial::{ObsConfig, RunStats};
 use ccs_runtime::Instance;
 use ccs_sched::partitioned;
 
-/// Serial reference digest for `rounds` granularity-T rounds.
-fn serial_digest(
-    g: &StreamGraph,
-    ra: &RateAnalysis,
-    p: &Partition,
-    m: u64,
-    rounds: u64,
-) -> Option<u64> {
+/// The serial oracle's run of `rounds` granularity-T rounds.
+fn oracle(g: &StreamGraph, ra: &RateAnalysis, p: &Partition, m: u64, rounds: u64) -> RunStats {
     let run = partitioned::inhomogeneous(g, ra, p, m, rounds).expect("serial reference schedule");
     let mut inst = Instance::synthetic(g.clone());
     let stats = ccs_runtime::serial::execute(&mut inst, &run);
     assert!(stats.digest.is_some(), "sink must accumulate a digest");
-    stats.digest
+    stats
 }
 
 /// Two partitioners per graph, as in equivalence.rs — fusion has to
@@ -45,50 +37,35 @@ fn check_app(name: &str, g: StreamGraph, m: u64, rounds: u64) {
     let ra = RateAnalysis::analyze_single_io(&g).unwrap_or_else(|e| panic!("{name}: {e}"));
     let bound = m.max(g.max_state());
     for (pname, p) in partitions(&g, &ra, bound) {
-        let want = serial_digest(&g, &ra, &p, m, rounds);
+        let want = oracle(&g, &ra, &p, m, rounds);
 
         // Serial fused leg: same firings, same order, one thread.
         let inst = Instance::synthetic(g.clone());
         let (stats, _) = execute_serial_fused(inst, &ra, &p, m, rounds, &ObsConfig::default())
             .unwrap_or_else(|e| panic!("{name}/{pname}: serial fused: {e}"));
-        assert_eq!(stats.digest, want, "{name}/{pname}: serial fused diverged");
+        assert_eq!(
+            stats.digest, want.digest,
+            "{name}/{pname}: serial fused diverged"
+        );
 
-        // Parallel fused legs across worker counts and warmup modes,
-        // each checked against its classic (unfused) twin and the
-        // serial reference.
+        // Parallel legs across worker counts and warmup modes, each
+        // checked against the oracle's digest and sink accounting.
         for mode in [WarmupMode::Epoch, WarmupMode::PerWorker] {
             for workers in [1usize, 2, 4] {
-                let base = RunConfig::new(workers)
+                let cfg = RunConfig::new(workers)
                     .with_warmup(1)
                     .with_warmup_mode(mode);
-                let classic = execute_dag_cfg(
-                    Instance::synthetic(g.clone()),
-                    &ra,
-                    &p,
-                    m,
-                    rounds,
-                    &base.clone().with_fused(false),
-                )
-                .unwrap_or_else(|e| panic!("{name}/{pname}: classic {mode:?} x{workers}: {e}"));
-                let fused = execute_dag_cfg(
-                    Instance::synthetic(g.clone()),
-                    &ra,
-                    &p,
-                    m,
-                    rounds,
-                    &base.with_fused(true),
-                )
-                .unwrap_or_else(|e| panic!("{name}/{pname}: fused {mode:?} x{workers}: {e}"));
+                let fused =
+                    execute_dag_cfg(Instance::synthetic(g.clone()), &ra, &p, m, rounds, &cfg)
+                        .unwrap_or_else(|e| {
+                            panic!("{name}/{pname}: fused {mode:?} x{workers}: {e}")
+                        });
                 assert_eq!(
-                    fused.run.digest, want,
-                    "{name}/{pname}: fused diverged from serial at {mode:?} x{workers}"
+                    fused.run.digest, want.digest,
+                    "{name}/{pname}: fused diverged from the oracle at {mode:?} x{workers}"
                 );
                 assert_eq!(
-                    fused.run.digest, classic.run.digest,
-                    "{name}/{pname}: fused != classic at {mode:?} x{workers}"
-                );
-                assert_eq!(
-                    fused.run.sink_items, classic.run.sink_items,
+                    fused.run.sink_items, want.sink_items,
                     "{name}/{pname}: sink accounting moved at {mode:?} x{workers}"
                 );
             }
@@ -139,7 +116,7 @@ fn fir_bound_kernels_fused_match_serial() {
     .unwrap();
     assert_eq!(stats.digest, want, "serial fused");
     for workers in [1usize, 2, 4] {
-        let cfg = RunConfig::new(workers).with_fused(true);
+        let cfg = RunConfig::new(workers);
         let stats =
             execute_dag_cfg(ccs_apps::fir_instance(g.clone()), &ra, &p, 512, 2, &cfg).unwrap();
         assert_eq!(stats.run.digest, want, "workers {workers}");
@@ -172,7 +149,7 @@ fn wide_ports_take_the_heap_view_fallback() {
         ("whole", Partition::whole(&g)),
         ("dag-greedy", dag_greedy::greedy_topo(&g, 96)),
     ] {
-        let want = serial_digest(&g, &ra, &p, m, 3);
+        let want = oracle(&g, &ra, &p, m, 3).digest;
         let (stats, _) = execute_serial_fused(
             Instance::synthetic(g.clone()),
             &ra,
@@ -184,7 +161,7 @@ fn wide_ports_take_the_heap_view_fallback() {
         .unwrap();
         assert_eq!(stats.digest, want, "{pname}: serial fused");
         for workers in [1usize, 2] {
-            let cfg = RunConfig::new(workers).with_fused(true);
+            let cfg = RunConfig::new(workers);
             let stats =
                 execute_dag_cfg(Instance::synthetic(g.clone()), &ra, &p, m, 3, &cfg).unwrap();
             assert_eq!(stats.run.digest, want, "{pname}: fused x{workers}");

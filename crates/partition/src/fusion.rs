@@ -87,7 +87,7 @@ pub struct PortSpan {
 
 /// Where one member's ports sit in [`FiringPlan::ports`]: `inputs`
 /// entries from `start` in `in_edges` order, then `outputs` entries in
-/// `out_edges` order — the classic executors' scratch layout.
+/// `out_edges` order — the serial oracle's scratch layout.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct NodePorts {
     pub start: u32,

@@ -495,14 +495,33 @@ pub struct Probe {
     pub events: Vec<&'static str>,
     /// Why nothing opened (when `available` is false).
     pub reason: Option<String>,
+    /// What the opened events can measure ([`counter_label`]).
+    pub label: &'static str,
+}
+
+/// Name what a set of opened events can measure, without overstating
+/// it: `"pmu"` when any event other than the software `task-clock`
+/// opened, `"task-clock"` when only that one did (CPU time, but no
+/// cache or instruction counts), and `"timing-only"` when nothing
+/// opened.
+pub fn counter_label(events: &[&str]) -> &'static str {
+    if events.iter().any(|&e| e != CounterKind::TaskClock.name()) {
+        "pmu"
+    } else if events.is_empty() {
+        "timing-only"
+    } else {
+        "task-clock"
+    }
 }
 
 /// Try to open (and immediately close) the cache suite on this thread.
 pub fn probe() -> Probe {
     let set = CounterBuilder::cache_suite().open_self_thread();
+    let events: Vec<&'static str> = set.kinds().iter().map(|k| k.name()).collect();
     Probe {
         available: set.is_active(),
-        events: set.kinds().iter().map(|k| k.name()).collect(),
+        label: counter_label(&events),
+        events,
         reason: set.reason().map(str::to_string),
     }
 }
@@ -712,5 +731,14 @@ mod tests {
         let p = probe();
         assert_eq!(p.available, p.reason.is_none());
         assert_eq!(p.available, !p.events.is_empty());
+        assert_eq!(p.label, counter_label(&p.events));
+    }
+
+    #[test]
+    fn counter_label_names_what_opened() {
+        assert_eq!(counter_label(&[]), "timing-only");
+        assert_eq!(counter_label(&["task-clock"]), "task-clock");
+        assert_eq!(counter_label(&["instructions", "task-clock"]), "pmu");
+        assert_eq!(counter_label(&["llc-misses"]), "pmu");
     }
 }

@@ -4,7 +4,7 @@
 //! consumes the same items no matter how firings are interleaved, so any
 //! two legal schedules produce bit-identical output streams. The kernels
 //! here are all deterministic, which the test suite exploits to check
-//! functional equivalence across schedulers (including the parallel one).
+//! functional equivalence across schedulers and executors.
 
 /// Sum a state array with eight independent accumulators, so the compiler
 /// can vectorize and the loop is memory-bound rather than serialized on
@@ -44,9 +44,9 @@ pub(crate) const FNV_OFFSET: u64 = 0xcbf29ce484222325;
 /// pre-allocated scratch space, so firing is allocation-free).
 ///
 /// Ports are plain slices so the executor is free to back them with
-/// anything contiguous: per-port scratch `Vec`s on the classic path
-/// (see [`fire_ports`]), or spans of a segment's flat scratch arena on
-/// the fused hot path — no copy either way.
+/// anything contiguous: per-port scratch `Vec`s in the serial oracle
+/// (see [`fire_ports`]), or spans of a segment's flat arena in the
+/// `ccs-exec` batch executor — no copy either way.
 pub trait Kernel: Send {
     /// Words of state this kernel touches per firing (should match the
     /// graph's `s(v)`; one `f32` = one word).
@@ -66,8 +66,8 @@ pub trait Kernel: Send {
 /// Port arity covered by [`fire_ports`]'s stack-allocated fast path.
 const MAX_PORTS: usize = 8;
 
-/// Fire a kernel whose scratch lives in per-port `Vec`s — the unfused
-/// executors' calling convention. The slice views are built on the
+/// Fire a kernel whose scratch lives in per-port `Vec`s — the serial
+/// oracle's calling convention. The slice views are built on the
 /// stack for arities up to `MAX_PORTS` = 8 (every graph in the suite),
 /// so the hot loop stays allocation-free; wider nodes fall back to a
 /// heap-built view table.

@@ -11,30 +11,22 @@
 //!   produces a bit-identical output stream — the test suite checks
 //!   digests across schedulers and thread counts.
 //! * [`instance::Instance`] — a graph bound to kernels.
-//! * [`serial`] — executes any firing sequence ([`ccs_sched::SchedRun`]).
-//! * [`parallel`] — the paper's asynchronous/parallel dynamic schedule
-//!   for homogeneous graphs: workers claim components whose input rings
-//!   hold `M` items and whose output rings are empty.
-//! * [`parallel_pipeline`] — the same extension for (possibly
-//!   inhomogeneous) pipelines, using §3's half-full/half-empty
-//!   schedulability rule; producers and consumers of a ring run
-//!   concurrently.
+//! * [`serial`] — executes any firing sequence ([`ccs_sched::SchedRun`]):
+//!   the deliberately naive oracle every other execution's sink digest
+//!   is checked against. The multicore batch executor lives in
+//!   `ccs-exec`.
 //! * [`ring`] — serial and lock-free SPSC ring buffers.
 //! * [`prefetch`] — the software prefetch hint the fused executor
 //!   issues on the next firing's input spans (no-op off x86_64/aarch64).
 
 pub mod instance;
 pub mod kernel;
-pub mod parallel;
-pub mod parallel_pipeline;
 pub mod prefetch;
 pub mod ring;
 pub mod serial;
 
 pub use instance::Instance;
 pub use kernel::{fire_ports, Kernel};
-pub use parallel::execute_parallel;
-pub use parallel_pipeline::execute_parallel_pipeline;
 pub use prefetch::prefetch_read;
 pub use ring::{Ring, SpscRing};
 pub use serial::{execute, execute_obs, ObsConfig, RunStats, SerialObs};

@@ -2,12 +2,12 @@
 //!
 //! [`Ring`] is the single-threaded channel used by the serial executor;
 //! [`SpscRing`] is a lock-free single-producer single-consumer ring used
-//! by the parallel executor. Both store items contiguously in a fixed
+//! by the `ccs-exec` batch executor. Both store items contiguously in a fixed
 //! `Box<[f32]>`, so channel traffic has the predictable layout the
 //! paper's model assumes.
 //!
 //! Capacities are rounded up to a power of two so every index
-//! computation is a bitmask instead of a `%`. On top of the classic
+//! computation is a bitmask instead of a `%`. On top of the per-item
 //! slice API both rings expose a zero-copy batch protocol:
 //!
 //! - producer: [`reserve`](SpscRing::reserve)`(n)` hands back at most
@@ -148,10 +148,10 @@ impl Ring {
 ///
 /// Safety contract: at any instant at most one thread performs
 /// `reserve`/`commit`/`push_*` and at most one thread performs
-/// `peek`/`release`/`pop_*`. The parallel executor guarantees this by
-/// giving each component exclusive ownership of its incident ring
-/// endpoints while the component is claimed; claim handoff happens
-/// under a mutex, which provides the necessary happens-before edges
+/// `peek`/`release`/`pop_*`. The `ccs-exec` batch executor guarantees
+/// this by giving each segment, with its incident ring endpoints, to
+/// exactly one worker at a time; a migrating segment is handed over
+/// through a mutex, which provides the necessary happens-before edges
 /// between successive owners.
 ///
 /// False-sharing note: `head` and `tail` are each `CachePadded`, i.e.

@@ -27,13 +27,13 @@ pub struct RunStats {
 }
 
 /// Per-node pre-sized scratch: one `Vec<f32>` per port.
-pub(crate) struct Scratch {
-    pub inputs: Vec<Vec<Vec<f32>>>,
-    pub outputs: Vec<Vec<Vec<f32>>>,
+struct Scratch {
+    inputs: Vec<Vec<Vec<f32>>>,
+    outputs: Vec<Vec<Vec<f32>>>,
 }
 
 impl Scratch {
-    pub(crate) fn for_graph(g: &StreamGraph) -> Scratch {
+    fn for_graph(g: &StreamGraph) -> Scratch {
         let inputs = g
             .node_ids()
             .map(|v| {
@@ -62,49 +62,7 @@ impl Scratch {
 /// panics (the symbolic executor validates the same sequence in tests, so
 /// a panic here indicates an executor bug, not a scheduler bug).
 pub fn execute(inst: &mut Instance, run: &SchedRun) -> RunStats {
-    execute_counted(inst, run, false).0
-}
-
-/// [`execute`], optionally sampling hardware counters (the `ccs-perf`
-/// cache suite) around the firing loop — the same window `wall` times,
-/// with allocation excluded — so serial misses/item is directly
-/// comparable with the parallel executor's per-worker counters. The
-/// sample is `None` when `counters` is false or `perf_event_open` is
-/// unavailable; the `RunStats` (digest included) is identical either
-/// way.
-pub fn execute_counted(
-    inst: &mut Instance,
-    run: &SchedRun,
-    counters: bool,
-) -> (RunStats, Option<ccs_perf::CounterSample>) {
-    execute_counted_warm(inst, run, counters, 0)
-}
-
-/// [`execute_counted`] with a steady-state warmup window: the counter
-/// group is zeroed (`PERF_EVENT_IOC_RESET`) after the first
-/// `warmup_firings` firings, so the sample excludes cold-start misses
-/// (first-touch state, page faults) and covers only the remaining
-/// `firings - warmup_firings` firings — the serial analogue of
-/// `RunConfig::warmup_batches` in the parallel executor. A warmup of 0,
-/// or one at least as long as the schedule, degrades to whole-run
-/// sampling; execution itself (digest, items, firing count) is
-/// untouched in every case.
-pub fn execute_counted_warm(
-    inst: &mut Instance,
-    run: &SchedRun,
-    counters: bool,
-    warmup_firings: u64,
-) -> (RunStats, Option<ccs_perf::CounterSample>) {
-    let (stats, obs) = execute_obs(
-        inst,
-        run,
-        &ObsConfig {
-            counters,
-            warmup_firings,
-            ..ObsConfig::default()
-        },
-    );
-    (stats, obs.sample)
+    execute_obs(inst, run, &ObsConfig::default()).0
 }
 
 /// Observability options for [`execute_obs`] — the serial analogues of
@@ -149,10 +107,13 @@ pub struct SerialObs {
     pub trace: Option<Timeline>,
 }
 
-/// [`execute_counted_warm`] plus time-resolved observability: an event
-/// timeline (block spans, the warmup reset) and periodic counter
-/// windows, both collected by the same `ccs-obs` machinery the
-/// parallel workers use. Execution itself — digest, items, firing
+/// [`execute`] with observability: hardware counters (the `ccs-perf`
+/// cache suite) sampled around the firing loop — the same window `wall`
+/// times, allocation excluded — optionally zeroed after a warmup of
+/// [`ObsConfig::warmup_firings`] firings so the sample covers only the
+/// steady state, plus an event timeline (block spans, the warmup reset)
+/// and periodic counter windows, collected by the same `ccs-obs`
+/// machinery the parallel workers use. Execution itself — digest, items, firing
 /// count — is identical to [`execute`] under every configuration.
 pub fn execute_obs(inst: &mut Instance, run: &SchedRun, cfg: &ObsConfig) -> (RunStats, SerialObs) {
     let g = &inst.graph;
@@ -319,7 +280,12 @@ mod tests {
         let mut i1 = Instance::synthetic(g.clone());
         let plain = execute(&mut i1, &run);
         let mut i2 = Instance::synthetic(g);
-        let (counted, sample) = execute_counted(&mut i2, &run, true);
+        let counted_cfg = ObsConfig {
+            counters: true,
+            ..ObsConfig::default()
+        };
+        let (counted, obs) = execute_obs(&mut i2, &run, &counted_cfg);
+        let sample = obs.sample;
         assert_eq!(plain.digest, counted.digest);
         assert_eq!(plain.firings, counted.firings);
         assert_eq!(plain.sink_items, counted.sink_items);
@@ -329,9 +295,9 @@ mod tests {
         }
         // Counters off: no sample, same behavior.
         let mut i3 = Instance::synthetic(i1.graph.clone());
-        let (off, none) = execute_counted(&mut i3, &run, false);
+        let (off, obs) = execute_obs(&mut i3, &run, &ObsConfig::default());
         assert_eq!(off.digest, plain.digest);
-        assert!(none.is_none());
+        assert!(obs.sample.is_none());
     }
 
     #[test]
@@ -345,7 +311,12 @@ mod tests {
         // is identical in every case (only the counter window moves).
         for warmup in [1, run.firings.len() as u64 / 2, u64::MAX] {
             let mut i = Instance::synthetic(g.clone());
-            let (warm, _sample) = execute_counted_warm(&mut i, &run, true, warmup);
+            let cfg = ObsConfig {
+                counters: true,
+                warmup_firings: warmup,
+                ..ObsConfig::default()
+            };
+            let (warm, _obs) = execute_obs(&mut i, &run, &cfg);
             assert_eq!(warm.digest, plain.digest, "warmup {warmup}");
             assert_eq!(warm.firings, plain.firings);
             assert_eq!(warm.sink_items, plain.sink_items);

@@ -11,7 +11,7 @@
 //! * [`partition`] — well-ordered c-bounded partitioning algorithms.
 //! * [`sched`] — partitioned two-level schedulers plus literature baselines,
 //!   and the symbolic executor that turns schedules into memory traces.
-//! * [`runtime`] — real executors (serial + parallel) over ring buffers.
+//! * [`runtime`] — kernels, ring buffers, and the serial oracle executor.
 //! * [`topo`] — machine topology (NUMA nodes → LLC clusters → cores):
 //!   sysfs discovery, synthetic specs, distances, core pinning.
 //! * [`perf`] — hardware performance counters (`perf_event_open`):

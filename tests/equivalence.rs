@@ -2,8 +2,8 @@
 //!
 //! Synchronous dataflow is deterministic: every legal schedule produces
 //! the same output stream. These tests run the *same* workload through
-//! every scheduler and both executors (serial and parallel) and demand
-//! bit-identical sink digests.
+//! every scheduler and both executors (the serial oracle and the
+//! multicore batch executor) and demand bit-identical sink digests.
 
 use cache_conscious_streaming::prelude::*;
 use cache_conscious_streaming::runtime::{self, Instance};
@@ -97,8 +97,9 @@ fn parallel_executor_matches_serial_across_partitions() {
             let run = partitioned::homogeneous(&g, &ra, &p, 16, 2).unwrap();
             let want = digest_of(&g, &run);
             let inst = Instance::synthetic(g.clone());
-            let stats = runtime::execute_parallel(inst, &p, 16, 2, 4);
-            assert_eq!(stats.digest, want, "seed {seed} bound {bound}");
+            let stats = execute_dag(inst, &ra, &p, 16, 2, 4, Placement::RoundRobin)
+                .unwrap_or_else(|e| panic!("seed {seed} bound {bound}: {e}"));
+            assert_eq!(stats.run.digest, want, "seed {seed} bound {bound}");
         }
     }
 }
